@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..analysis.features import StaticFeatures, extract_static_features
@@ -82,6 +82,9 @@ class LaunchRecord:
 #: Default bound on the in-memory launch log (records, not bytes).
 DEFAULT_MAX_LAUNCH_RECORDS = 4096
 
+#: Launch identities remembered per kernel by :meth:`DopiaRuntime.enqueue`.
+LAUNCH_MEMO_SIZE = 64
+
 
 @dataclass
 class KernelArtifacts:
@@ -95,6 +98,10 @@ class KernelArtifacts:
     cpu_codegen: dict[tuple[int, str], CpuKernel]
     transformable: bool
     transform_error: str = ""
+    #: (prediction, simulated result) per launch identity, oldest evicted
+    #: first; lives as long as the program (see DopiaRuntime.enqueue)
+    launch_memo: dict[tuple, tuple[Prediction, ExecutionResult]] = field(
+        default_factory=dict)
 
 
 class DopiaRuntime(Interposer):
@@ -328,6 +335,20 @@ class DopiaRuntime(Interposer):
             return None
 
         traced = tracer.enabled
+        scalar_args = kernel.scalar_args()
+        # Prediction, profile and simulation depend only on the model, the
+        # kernel, its scalar arguments, the launch geometry and the trip
+        # hint, and the simulator's noise is seeded by the run's identity,
+        # so a repeated launch reuses them exactly.  Traced launches
+        # recompute, so they emit every predict/simulate event.
+        memo_key = None if traced else (
+            self.predictor, self.predictor.model, self.chunk_divisor,
+            ndrange.work_dim, ndrange.total_work_items,
+            ndrange.work_items_per_group, irregular_trip_hint,
+            frozenset(scalar_args.items()),
+        )
+        memo = artifacts.launch_memo
+        remembered = memo.get(memo_key) if memo_key is not None else None
         with tracer.span(
             "dopia.launch", "launch",
             kernel=kernel.name,
@@ -335,14 +356,17 @@ class DopiaRuntime(Interposer):
             local_size=list(ndrange.local_size),
             functional=queue.functional,
         ) if traced else NULL_SPAN:
-            with tracer.span("dopia.predict", "predict",
-                             kernel=kernel.name) if traced else NULL_SPAN:
-                prediction = self.predictor.select(
-                    artifacts.static_features,
-                    ndrange.work_dim,
-                    ndrange.total_work_items,
-                    ndrange.work_items_per_group,
-                )
+            if remembered is None:
+                with tracer.span("dopia.predict", "predict",
+                                 kernel=kernel.name) if traced else NULL_SPAN:
+                    prediction = self.predictor.select(
+                        artifacts.static_features,
+                        ndrange.work_dim,
+                        ndrange.total_work_items,
+                        ndrange.work_items_per_group,
+                    )
+            else:
+                prediction, result = remembered
             setting = prediction.config.setting
 
             if queue.functional:
@@ -353,21 +377,27 @@ class DopiaRuntime(Interposer):
                 ) if traced else NULL_SPAN:
                     self._execute_functional(kernel, ndrange, prediction)
 
-            with tracer.span("dopia.simulate", "sim",
-                             kernel=kernel.name) if traced else NULL_SPAN:
-                profile = profile_kernel(
-                    kernel.info,
-                    kernel.scalar_args(),
-                    ndrange.total_work_items,
-                    ndrange.work_items_per_group,
-                    work_dim=ndrange.work_dim,
-                    irregular_trip_hint=irregular_trip_hint,
-                )
-                result = simulate_execution(
-                    profile, self.platform, setting,
-                    scheduler="dynamic", chunk_divisor=self.chunk_divisor,
-                    run_key=(kernel.name, "dopia"),
-                )
+            if remembered is None:
+                with tracer.span("dopia.simulate", "sim",
+                                 kernel=kernel.name) if traced else NULL_SPAN:
+                    profile = profile_kernel(
+                        kernel.info,
+                        scalar_args,
+                        ndrange.total_work_items,
+                        ndrange.work_items_per_group,
+                        work_dim=ndrange.work_dim,
+                        irregular_trip_hint=irregular_trip_hint,
+                    )
+                    result = simulate_execution(
+                        profile, self.platform, setting,
+                        scheduler="dynamic", chunk_divisor=self.chunk_divisor,
+                        run_key=(kernel.name, "dopia"),
+                    )
+                if memo_key is not None:
+                    with self._launch_lock:
+                        if len(memo) >= LAUNCH_MEMO_SIZE:
+                            del memo[next(iter(memo))]
+                        memo[memo_key] = (prediction, result)
             time = result.time_s
             if self.include_inference_overhead:
                 time += prediction.inference_cost_s

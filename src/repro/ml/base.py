@@ -48,6 +48,8 @@ class Estimator(abc.ABC):
             )
         if X.shape[0] == 0:
             raise ValueError("cannot fit on an empty dataset")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("X and y must be finite (no NaN or inf)")
         return X, y
 
     def _check_predict_inputs(self, X: np.ndarray) -> np.ndarray:

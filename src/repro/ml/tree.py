@@ -1,11 +1,33 @@
 """CART regression tree (the paper's deployed DT model, §5.2).
 
-A from-scratch, NumPy-vectorised implementation: the best split of a node
-is found per feature by sorting once and scanning all thresholds with
-prefix sums (variance reduction in O(n log n) per feature), the classic
-CART construction.  Trees are stored in flat arrays so prediction is an
-iterative, allocation-free descent — which is also what makes the
-generated-C deployment of :mod:`repro.ml.treecodegen` straightforward.
+A from-scratch, NumPy-vectorised implementation of the classic CART
+construction: a node splits at the threshold that most reduces the sum of
+squared deviations, found per feature by sorting the node's rows and
+scanning every cut position with prefix sums.
+
+The search is rank-coded.  Each feature is coded once per fit as the rank
+of its value among the feature's distinct values (``np.unique``'s
+inverse, a small unsigned int), and the recursion passes down only row
+indices.  A node stable-argsorts the codes of a block of features in one
+2-D call (radix sort for small ints), scans all their prefix sums at once
+and reads thresholds from each feature's table of distinct values; blocks
+hold about 64k elements, so a large node searches one feature at a time.
+The tree equals the one a per-feature float search grows, bit for bit:
+
+* a stable sort by rank code orders the rows exactly as a stable sort by
+  value does, and two rows have equal codes exactly when their values
+  are equal, so the sorted targets and the admissible cuts are the same;
+* ``np.cumsum`` accumulates sequentially along each row of a 2-D block,
+  so every prefix sum, and hence every gain, comes out the same;
+* a node's total is a 1-D sum over its targets in original row order
+  (the order boolean masks keep), because NumPy's pairwise summation
+  depends on length and layout, and its mean is that total over the row
+  count, which is how ``ndarray.mean`` computes it;
+* the partition applies the old rule ``x <= threshold`` to the raw values.
+
+Trees are stored in flat arrays so prediction is an iterative,
+allocation-free descent — which is also what makes the generated-C
+deployment of :mod:`repro.ml.treecodegen` straightforward.
 """
 
 from __future__ import annotations
@@ -17,6 +39,10 @@ import numpy as np
 from .base import C_OP_SECONDS, Estimator
 
 _LEAF = -1
+
+#: Elements per split-search temporary: a node searches as many features
+#: at once as keep ``features x rows`` near this size.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -30,47 +56,72 @@ class _Node:
     gain: float = 0.0     #: variance reduction achieved by this split
 
 
+def _rank_code(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Feature-major rank codes of ``X`` and each feature's distinct values.
+
+    ``codes[f, i]`` is the position of ``X[i, f]`` in ``values[f]``, the
+    sorted distinct values of feature ``f``; all features share the
+    smallest unsigned dtype that holds every code.
+    """
+    values, codes = [], []
+    for column in X.T:
+        distinct, inverse = np.unique(column, return_inverse=True)
+        values.append(distinct)
+        codes.append(inverse)
+    dtype = np.min_scalar_type(max((len(v) for v in values), default=1) - 1)
+    return np.array(codes, dtype=dtype), values
+
+
 def _best_split(
-    X: np.ndarray, y: np.ndarray, min_samples_leaf: int
+    codes: np.ndarray,
+    values: list[np.ndarray],
+    rows: np.ndarray,
+    y_node: np.ndarray,
+    total_sum: np.float64,
+    features: np.ndarray,
+    min_samples_leaf: int,
 ) -> tuple[int, float, float] | None:
     """(feature, threshold, score) of the best variance-reducing split.
 
-    Score is the reduction in the sum of squared deviations; ``None`` if no
-    admissible split improves on the parent.
+    The node holds ``rows`` (ascending) with targets ``y_node = y[rows]``
+    summing to ``total_sum``; only ``features`` (ascending) are searched.
+    Score is the reduction in the sum of squared deviations; ``None`` if
+    no admissible split improves on the parent.
     """
-    n, d = X.shape
-    total_sum = y.sum()
-    parent_sse = np.square(y).sum() - total_sum**2 / n
+    n = rows.shape[0]
+    # cut position i puts the first i + 1 sorted rows left; both sides
+    # must keep min_samples_leaf rows
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
+    left_cnt = np.arange(lo + 1, hi + 1)
+    right_cnt = n - left_cnt
+    # children SSE via the identity SSE = sum(y^2) - (sum y)^2 / n; the
+    # sum(y^2) terms cancel in the reduction, so score =
+    # left^2/nl + right^2/nr - total^2/n
+    parent_term = total_sum**2 / n
     best: tuple[int, float, float] | None = None
     best_score = 1e-12  # require strictly positive improvement
-    for feature in range(d):
-        order = np.argsort(X[:, feature], kind="stable")
-        xs = X[order, feature]
-        ys = y[order]
-        # candidate split positions: between distinct consecutive values
-        left_sum = np.cumsum(ys)[:-1]
-        left_cnt = np.arange(1, n)
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for start in range(0, features.shape[0], step):
+        block = features[start:start + step]
+        first, last = int(block[0]), int(block[-1])
+        if last - first + 1 == block.shape[0]:  # a run of features: cheap take
+            node_codes = codes[first:last + 1].take(rows, axis=1)
+        else:
+            node_codes = codes[block[:, None], rows]
+        order = node_codes.argsort(axis=1, kind="stable")
+        left_sum = y_node[order].cumsum(axis=1)[:, lo:hi]
         right_sum = total_sum - left_sum
-        right_cnt = n - left_cnt
-        valid = (xs[1:] != xs[:-1])
-        valid &= (left_cnt >= min_samples_leaf) & (right_cnt >= min_samples_leaf)
-        if not valid.any():
-            continue
-        # children SSE via the identity SSE = sum(y^2) - (sum y)^2 / n;
-        # the sum(y^2) terms cancel in the reduction, so score =
-        # left^2/nl + right^2/nr - total^2/n
-        gain = (
-            left_sum**2 / left_cnt + right_sum**2 / right_cnt - total_sum**2 / n
-        )
-        gain[~valid] = -np.inf
-        index = int(np.argmax(gain))
-        if gain[index] > best_score:
-            best_score = float(gain[index])
-            threshold = 0.5 * (xs[index] + xs[index + 1])
-            best = (feature, float(threshold), best_score)
-    if best is None:
-        return None
-    del parent_sse  # parent term cancels; kept for readability of the math
+        gain = left_sum**2 / left_cnt + right_sum**2 / right_cnt - parent_term
+        # candidate cuts lie between distinct consecutive values
+        node_codes.sort(axis=1)  # in place, now that the order is taken
+        gain[node_codes[:, lo + 1:hi + 1] == node_codes[:, lo:hi]] = -np.inf
+        for j, score in enumerate(gain.max(axis=1).tolist()):
+            if score > best_score:
+                best_score = score
+                feature = int(block[j])
+                cut = int(gain[j].argmax()) + lo
+                below, above = values[feature][node_codes[j, cut:cut + 2]]
+                best = (feature, float(0.5 * (below + above)), best_score)
     return best
 
 
@@ -106,7 +157,8 @@ class DecisionTreeRegressor(Estimator):
         self._flat = None
         self._depth = None
         rng = np.random.default_rng(self.random_state)
-        self._build(X, y, depth=0, rng=rng)
+        codes, values = _rank_code(X)
+        self._grow(X, y, codes, values, np.arange(X.shape[0]), depth=0, rng=rng)
         self._flat = self._compile()
         self._depth = self._measure_depth()
         return self
@@ -130,36 +182,50 @@ class DecisionTreeRegressor(Estimator):
             array.flags.writeable = False
         return arrays
 
-    def _build(self, X: np.ndarray, y: np.ndarray, depth: int, rng) -> int:
+    def _grow(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        codes: np.ndarray,
+        values: list[np.ndarray],
+        rows: np.ndarray,
+        depth: int,
+        rng,
+    ) -> int:
         index = len(self.nodes_)
+        y_node = y[rows]
+        total_sum = y_node.sum()
         node = _Node(
             feature=_LEAF, threshold=0.0, left=-1, right=-1,
-            value=float(y.mean()), n_samples=y.shape[0],
-        )  # gain filled in if the node splits
+            value=float(total_sum / rows.shape[0]), n_samples=rows.shape[0],
+        )  # gain filled in if the node splits; the value is y_node.mean()
         self.nodes_.append(node)
         if (
             depth >= self.max_depth
-            or y.shape[0] < self.min_samples_split
-            or np.ptp(y) == 0.0
+            or rows.shape[0] < self.min_samples_split
+            or np.ptp(y_node) == 0.0
         ):
             return index
-        if self.max_features is not None and self.max_features < X.shape[1]:
-            features = rng.choice(X.shape[1], size=self.max_features, replace=False)
+        n_features = codes.shape[0]
+        if self.max_features is not None and self.max_features < n_features:
+            features = rng.choice(n_features, size=self.max_features, replace=False)
             features.sort()
-            split = _best_split(X[:, features], y, self.min_samples_leaf)
-            if split is not None:
-                split = (int(features[split[0]]), split[1], split[2])
         else:
-            split = _best_split(X, y, self.min_samples_leaf)
+            features = np.arange(n_features)
+        split = _best_split(
+            codes, values, rows, y_node, total_sum, features,
+            self.min_samples_leaf,
+        )
         if split is None:
             return index
+        del y_node
         feature, threshold, gain = split
-        mask = X[:, feature] <= threshold
+        mask = X[rows, feature] <= threshold
         node.feature = feature
         node.threshold = threshold
         node.gain = gain
-        node.left = self._build(X[mask], y[mask], depth + 1, rng)
-        node.right = self._build(X[~mask], y[~mask], depth + 1, rng)
+        node.left = self._grow(X, y, codes, values, rows[mask], depth + 1, rng)
+        node.right = self._grow(X, y, codes, values, rows[~mask], depth + 1, rng)
         return index
 
     # -- prediction ------------------------------------------------------------

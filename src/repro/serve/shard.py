@@ -282,7 +282,9 @@ def _shard_main(index: int, in_recv, out_send, cfg: dict) -> None:
     try:
         while True:
             if not in_recv.poll(0.05):
-                if drain_flag.is_set():
+                # a SIGTERM can cut the wait short with a launch already
+                # in the pipe, so look again before retiring
+                if drain_flag.is_set() and not in_recv.poll():
                     break                # idle and asked to retire
                 continue
             batch = in_recv.recv()

@@ -190,7 +190,9 @@ def make_cpu_kernel(
             return rw.intlit(0)
         return None
 
-    body = rw.substitute_calls(new_kernel.body, replace)
+    body = rw.end_item_on_return(
+        rw.substitute_calls(new_kernel.body, replace), CpuTransformError
+    )
     assert isinstance(body, ast.Block)
 
     # items-per-group product

@@ -16,6 +16,9 @@ use fewer processing elements:
 3. Every use of ``get_global_id(d)`` inside the body is replaced with the
    index reconstructed from the dynamically fetched work id
    (lines 16–17); ``get_local_id(d)`` uses are rewritten likewise.
+4. A ``return`` in the body ends one work item: it becomes ``continue``
+   of the drain loop.  Kernels that return from inside their own loops
+   are declined with :class:`TransformError`.
 
 The transformation supports 1- and 2-dimensional ND-ranges (all paper
 workloads; Figures 5 and 6 respectively) and 3-dimensional ranges by the
@@ -168,7 +171,9 @@ def make_malleable(
                 return _dynamic_local_index(dim_arg.value, work_dim)
         return None
 
-    body = rw.substitute_calls(new_kernel.body, replace)
+    body = rw.end_item_on_return(
+        rw.substitute_calls(new_kernel.body, replace), TransformError
+    )
     assert isinstance(body, ast.Block)
 
     # 3. worklist drain loop (Figure 5 line 14)

@@ -112,6 +112,35 @@ def substitute_calls(
     return rewrite(clone(node))
 
 
+def end_item_on_return(
+    stmt: ast.Stmt, error: type[Exception], in_loop: bool = False
+) -> ast.Stmt:
+    """Make a body-level ``return`` end one work item, not the whole loop.
+
+    Both transformations run the kernel body inside a loop over work
+    items (the malleable drain loop, the CPU item loop), where a
+    ``return`` would end every item still to come.  It becomes
+    ``continue``, which moves on to the next item.  A ``return`` inside
+    one of the kernel's own loops has no such exact rewrite (``continue``
+    would resume that inner loop), so it raises ``error``.  Rewrites
+    ``stmt`` in place; pass a copy.
+    """
+    if isinstance(stmt, ast.Return):
+        if in_loop:
+            raise error("a return inside a loop cannot be confined to one "
+                        "work item of the transformed kernel's item loop")
+        return ast.Continue(location=stmt.location)
+    if isinstance(stmt, ast.Block):
+        stmt.body = [end_item_on_return(s, error, in_loop) for s in stmt.body]
+    elif isinstance(stmt, ast.If):
+        stmt.then = end_item_on_return(stmt.then, error, in_loop)
+        if stmt.otherwise is not None:
+            stmt.otherwise = end_item_on_return(stmt.otherwise, error, in_loop)
+    elif isinstance(stmt, (ast.For, ast.While, ast.DoWhile)):
+        stmt.body = end_item_on_return(stmt.body, error, in_loop=True)
+    return stmt
+
+
 # ---------------------------------------------------------------------------
 # Source printer
 # ---------------------------------------------------------------------------

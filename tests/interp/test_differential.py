@@ -22,12 +22,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.scheduler import run_dynamic
+from repro.frontend import analyze_kernel, parse_kernel
 from repro.interp import (
     NDRange,
     check_vectorizable,
     execute_kernel,
     execution_stats,
+    make_executor,
 )
+from repro.sim import DopSetting
 from repro.transform import ALLOC_PARAM, MOD_PARAM, make_malleable
 from repro.workloads import (
     REAL_WORKLOAD_FACTORIES,
@@ -175,6 +179,70 @@ class TestMalleableVariants:
     @pytest.mark.parametrize("mod,alloc", THROTTLES)
     def test_full_registry_throttle_sweep(self, name, mod, alloc):
         check_malleable(name, mod, alloc)
+
+
+#: Kernels that return early from the body.  A ``return`` inside the
+#: malleable drain loop must end one work item; ending the whole PE loses
+#: the work items a throttled GPU's surviving PEs still had to drain.
+EARLY_RETURN = {
+    "1d": ("""
+__kernel void k(__global float* a, __global float* b)
+{
+    int i = get_global_id(0);
+    if (a[i] < 0.5f) return;
+    b[i] = a[i] + 1.0f;
+}
+""", 1, (64,), (8,)),
+    "2d": ("""
+__kernel void k(__global float* a, __global float* b, int w)
+{
+    int r = get_global_id(0);
+    int c = get_global_id(1);
+    if (a[r * w + c] < 0.5f) { b[r * w + c] = -1.0f; return; }
+    b[r * w + c] = a[r * w + c] * 2.0f;
+}
+""", 2, (8, 8), (4, 4)),
+}
+
+
+def _early_return_args(work_dim, global_size):
+    n = int(np.prod(global_size))
+    a = np.random.default_rng(0).uniform(size=n).astype(np.float32)
+    args = {"a": a, "b": np.zeros(n, dtype=np.float32)}
+    if work_dim == 2:
+        args["w"] = global_size[1]
+    return args
+
+
+class TestEarlyReturnThrottleGrid:
+    @pytest.mark.parametrize("name", list(EARLY_RETURN))
+    @pytest.mark.parametrize("mod,alloc", THROTTLES + [(2, 1), (8, 1)])
+    @pytest.mark.parametrize("backend", ["scalar", "vector", "jit"])
+    def test_throttled_matches_original(self, name, mod, alloc, backend):
+        source, work_dim, global_size, local_size = EARLY_RETURN[name]
+        ndrange = NDRange(global_size, local_size)
+        baseline = _early_return_args(work_dim, global_size)
+        execute_kernel(source, baseline, ndrange, backend="scalar")
+        malleable = make_malleable(source, work_dim=work_dim)
+        args = _early_return_args(work_dim, global_size)
+        args[MOD_PARAM] = mod
+        args[ALLOC_PARAM] = alloc
+        make_executor(malleable.info, args, ndrange, backend=backend).run()
+        assert args["b"].tobytes() == baseline["b"].tobytes()
+
+    @pytest.mark.parametrize("mod,alloc", [(1, 1), (2, 1), (8, 3), (8, 1)])
+    def test_gpu_only_run_dynamic(self, mod, alloc):
+        source, work_dim, global_size, local_size = EARLY_RETURN["1d"]
+        baseline = _early_return_args(work_dim, global_size)
+        execute_kernel(source, baseline, NDRange(global_size, local_size),
+                       backend="scalar")
+        args = _early_return_args(work_dim, global_size)
+        run_dynamic(analyze_kernel(parse_kernel(source)),
+                    make_malleable(source, work_dim=work_dim), args,
+                    NDRange(global_size, local_size),
+                    DopSetting(cpu_threads=0, gpu_fraction=1.0),
+                    mod, alloc, backend="scalar")
+        assert args["b"].tobytes() == baseline["b"].tobytes()
 
 
 # -- Table-2 synthetic sweep -------------------------------------------------

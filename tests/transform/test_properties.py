@@ -7,12 +7,19 @@ loops, strides, float/int mixes, and 1-D/2-D launches.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.frontend import analyze_kernel, parse_kernel
 from repro.interp import KernelExecutor, NDRange
-from repro.transform import ALLOC_PARAM, MOD_PARAM, make_cpu_kernel, make_malleable
-from repro.transform.cpu_codegen import WORKLIST_PARAM
+from repro.transform import (
+    ALLOC_PARAM,
+    MOD_PARAM,
+    TransformError,
+    make_cpu_kernel,
+    make_malleable,
+)
+from repro.transform.cpu_codegen import WORKLIST_PARAM, CpuTransformError
 from repro.transform.rewriter import print_kernel
 
 KERNEL_TEMPLATE = """
@@ -32,6 +39,12 @@ BODIES = [
     "B[i] = (i % 2 == 0) ? A[i] : -A[i];",
     "int acc = 0; for (int j = 0; j < m; j++) acc = acc + j * i; B[i] = acc;",
     "B[i] = A[(i * 3) % n];",
+    # early returns: the transforms must end one work item, not the
+    # processing element or CPU thread running it
+    "if (A[i] < 0.0f) return; B[i] = A[i] + 1.0f;",
+    "if (i % 3 == 0) { B[i] = -1.0f; return; } else { B[i] = A[i]; } B[i] = B[i] * 2.0f;",
+    "float s = 0.0f; for (int j = 0; j < m; j++) { if (j > i % 3) break; s = s + A[i * m + j]; }"
+    " if (s > 0.0f) return; B[i] = s;",
 ]
 
 
@@ -49,7 +62,7 @@ def launch_cases(draw):
 
 
 class TestMalleableProperty:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(launch_cases())
     def test_transformed_equals_original(self, case):
         body, wg, total, n, mod, alloc, m = case
@@ -74,7 +87,7 @@ class TestMalleableProperty:
 
 
 class TestCpuVariantProperty:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(launch_cases(), st.integers(min_value=1, max_value=5))
     def test_cpu_variant_equals_original(self, case, threads):
         body, wg, total, n, _, _, m = case
@@ -94,6 +107,15 @@ class TestCpuVariantProperty:
         args.update(cpu.scheduler_args(nd.total_groups, nd.local_size, nd.num_groups))
         KernelExecutor(cpu.info, args, NDRange(threads, 1)).run()
         assert np.array_equal(actual, expected)
+
+
+@pytest.mark.parametrize("transform,error", [
+    (make_malleable, TransformError), (make_cpu_kernel, CpuTransformError),
+])
+def test_return_inside_a_loop_is_declined(transform, error):
+    body = "for (int j = 0; j < m; j++) { if (A[i * m + j] < 0.0f) return; } B[i] = 1.0f;"
+    with pytest.raises(error, match="return inside a loop"):
+        transform(KERNEL_TEMPLATE.format(body=body), work_dim=1)
 
 
 class TestPrinterRoundTrip:
