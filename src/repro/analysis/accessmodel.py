@@ -25,8 +25,6 @@ Anything the walker cannot express exactly is *demoted*, never guessed:
 from __future__ import annotations
 
 import itertools
-import threading
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -167,9 +165,13 @@ class BarrierSite:
 
 @dataclass
 class AccessModel:
-    """Everything the verifier passes need, from one AST walk."""
+    """Everything the verifier passes need, from one AST walk.
 
-    info: KernelInfo
+    The model is memoised on its :class:`KernelInfo` and holds no
+    reference back to it, so an info nobody else holds is freed at once
+    by reference counting, without waiting for the cycle collector.
+    """
+
     kernel: str
     accesses: list[Access] = field(default_factory=list)
     barriers: list[BarrierSite] = field(default_factory=list)
@@ -910,44 +912,14 @@ class _ModelWalker:
         return False
 
 
-# ``KernelInfo`` is an unhashable dataclass, so a WeakKeyDictionary keyed
-# on it raises TypeError on every lookup and never memoises anything —
-# key by id() with a weakref finalizer instead (the verify/jit cache
-# idiom): identity is exactly the sharing unit of the serving layer's
-# prepared artifacts, and the finalizer evicts when the info dies.
-_MODEL_CACHE: dict[int, tuple["weakref.ref", "AccessModel"]] = {}
-_RW_CACHE: dict[int, tuple["weakref.ref", "LaunchRWSummary"]] = {}
-_CACHE_LOCK = threading.Lock()
-
-
-def _memo_get(cache: dict, info: KernelInfo):
-    with _CACHE_LOCK:
-        entry = cache.get(id(info))
-        if entry is not None and entry[0]() is info:
-            return entry[1]
-    return None
-
-
-def _memo_put(cache: dict, info: KernelInfo, value) -> None:
-    ident = id(info)
-    try:
-        # no lock in the callback: dict.pop is atomic under the GIL, and
-        # taking _CACHE_LOCK from a GC callback could deadlock
-        ref = weakref.ref(info, lambda _r, i=ident, c=cache: c.pop(i, None))
-    except TypeError:  # pragma: no cover - non-weakrefable info
-        return
-    with _CACHE_LOCK:
-        cache[ident] = (ref, value)
-
-
 def build_access_model(info: KernelInfo) -> AccessModel:
-    """Build (and memoise per KernelInfo) the access model for a kernel."""
-    cached = _memo_get(_MODEL_CACHE, info)
-    if cached is not None:
-        return cached
-    model = AccessModel(info=info, kernel=info.kernel.name)
-    _ModelWalker(info, model).run()
-    _memo_put(_MODEL_CACHE, info, model)
+    """Build (and memoise on the KernelInfo) the access model for a kernel."""
+    model = info.analysis_memo.get("access_model")
+    if model is None:
+        model = AccessModel(kernel=info.kernel.name)
+        _ModelWalker(info, model).run()
+        # a racing thread's model wins if it landed first: one per info
+        model = info.analysis_memo.setdefault("access_model", model)
     return model
 
 
@@ -979,9 +951,9 @@ def launch_rw_summary(info: KernelInfo) -> LaunchRWSummary:
     fallback.  A declared buffer parameter the kernel never touches
     (e.g. FDTD2's unused ``ey``) appears in neither set.
     """
-    cached = _memo_get(_RW_CACHE, info)
-    if cached is not None:
-        return cached
+    summary = info.analysis_memo.get("rw_summary")
+    if summary is not None:
+        return summary
     model = build_access_model(info)
     params = frozenset(info.buffer_params)
     if model.deref_store:
@@ -998,5 +970,4 @@ def launch_rw_summary(info: KernelInfo) -> LaunchRWSummary:
                 reads.add(access.buffer)
         summary = LaunchRWSummary(reads=frozenset(reads),
                                   writes=frozenset(writes))
-    _memo_put(_RW_CACHE, info, summary)
-    return summary
+    return info.analysis_memo.setdefault("rw_summary", summary)

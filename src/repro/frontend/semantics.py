@@ -130,10 +130,19 @@ class KernelInfo:
     uses_barrier: bool = False
     uses_atomics: bool = False
     user_functions: dict[str, "KernelInfo"] = field(default_factory=dict)
+    #: Products of later analyses derived from this info alone (the
+    #: access model and its read/write summary), built on first use by
+    #: :mod:`repro.analysis.accessmodel`.  Living on the info, they die
+    #: with it; they are not part of its value and are not pickled.
+    analysis_memo: dict = field(default_factory=dict, init=False,
+                                compare=False, repr=False)
 
     def type_of(self, expr: ast.Expr) -> ast.CType:
         """The inferred type of ``expr`` (falls back to ``int``)."""
         return self.expr_types.get(id(expr), _INT)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "analysis_memo": {}}
 
 
 class _Analyzer(ast.NodeVisitor):
