@@ -1,0 +1,91 @@
+"""Extension — executor-tier guard for a cold build's first launches.
+
+A cold build launches each Table-2 source once at 16 work-items in
+16-item work-groups, each item running a 3-D or 4-D loop nest, and the
+scaled registry kernels at their own small geometries.  The executor
+tier must follow the kernel's structure, not the launch size: on every
+one of these launches ``backend="auto"`` must pick the same tier as
+``backend="jit"``.  A size rule that sends small launches to the scalar
+interpreter (so a 16-item launch of a 4-D loop nest costs seconds
+instead of milliseconds) fails here.
+
+The subjects are every Table-2 pattern at work dimension 1 and five at
+work dimension 2, in every data type and constant-factor count a seeded
+draw can pick, plus the 14 scaled registry kernels.  The guard also pins
+how many of them end on each tier.  It counts tiers and measures no time,
+so it is deterministic.  Run with ``-s`` to see the table.
+"""
+
+import numpy as np
+import pytest
+
+from repro.interp import JitExecutor, VectorizedExecutor, make_executor
+from repro.workloads import SCALED_REAL_FACTORIES, make_synthetic
+from repro.workloads.synthetic import (
+    TABLE4_DTYPES,
+    TABLE4_GAMMAS,
+    TABLE4_PATTERNS,
+    SyntheticSpec,
+)
+
+from conftest import print_table
+
+#: The (pattern, work dimension) slots of a cold build, at its geometry.
+SLOTS = (
+    [(pattern, 1) for pattern in TABLE4_PATTERNS]
+    + [(pattern, 2) for pattern in ("1mat3d", "2mat3d1R", "2mat3d1T",
+                                    "2mat3d1C1R1T", "1mat4d1R")]
+)
+SYNTHETIC_SIZE = 16
+SYNTHETIC_WG = 16
+
+#: Launches ending on each tier.  PageRank and SpMV loop to a bound read
+#: from a buffer, which the jit compiler declines; nothing here is
+#: outside the vector tier.
+EXPECTED_TIERS = {"jit": 6 * len(SLOTS) + 12, "vector": 2}
+
+TIERS = {JitExecutor: "jit", VectorizedExecutor: "vector"}
+
+
+def workloads():
+    for pattern, dim in SLOTS:
+        for dtype in TABLE4_DTYPES:
+            for gamma in TABLE4_GAMMAS:
+                spec = SyntheticSpec.from_pattern(pattern, dim=dim,
+                                                  dtype=dtype, gamma=gamma)
+                workload = make_synthetic(spec, size=SYNTHETIC_SIZE,
+                                          wg_items=SYNTHETIC_WG)
+                yield workload.key, workload
+    for name, factory in SCALED_REAL_FACTORIES.items():
+        yield name, factory()
+
+
+def tier_of(workload, backend):
+    executor = make_executor(workload.kernel_info(),
+                             workload.full_args(np.random.default_rng(0)),
+                             workload.ndrange(), backend=backend)
+    return TIERS.get(type(executor), "scalar")
+
+
+@pytest.fixture(scope="module")
+def tiers():
+    return {name: (workload.ndrange().total_work_items,
+                   tier_of(workload, "auto"), tier_of(workload, "jit"))
+            for name, workload in workloads()}
+
+
+def test_auto_picks_the_jit_tier(tiers):
+    for name, (_, auto, jit) in tiers.items():
+        assert auto == jit, name
+
+
+def test_tier_counts(tiers):
+    by_tier = {}
+    for items, auto, _ in tiers.values():
+        by_tier.setdefault(auto, []).append(items)
+    print_table("first-launch executor tiers",
+                ["tier", "kernels", "fewest work-items", "most work-items"],
+                [[tier, len(items), min(items), max(items)]
+                 for tier, items in sorted(by_tier.items())])
+    assert {tier: len(items) for tier, items in by_tier.items()} \
+        == EXPECTED_TIERS

@@ -91,8 +91,12 @@ class KernelArtifacts:
     """Per-kernel products of Dopia's compile-time pass."""
 
     static_features: StaticFeatures
-    #: malleable GPU variants per work dimension (lazily generated)
+    #: malleable GPU variants per work dimension that passed the legality
+    #: gate (lazily generated)
     malleable: dict[int, MalleableKernel]
+    #: variants built before the gate ran: the 1-D one the build-time
+    #: transformability test made, moved to ``malleable`` at first launch
+    pending: dict[int, MalleableKernel]
     #: Figure-7 CPU variants per (work dimension, claim discipline)
     #: (lazily generated)
     cpu_codegen: dict[tuple[int, str], CpuKernel]
@@ -220,13 +224,14 @@ class DopiaRuntime(Interposer):
                 with tracer.span("dopia.analyze_kernel", "build", kernel=name):
                     features = extract_static_features(info)
                     try:
-                        make_malleable(info, work_dim=1)
+                        pending = {1: make_malleable(info, work_dim=1)}
                         transformable, error = True, ""
                     except TransformError as exc:
-                        transformable, error = False, str(exc)
+                        pending, transformable, error = {}, False, str(exc)
                 program.interposer_data[name] = KernelArtifacts(
                     static_features=features,
                     malleable={},
+                    pending=pending,
                     cpu_codegen={},
                     transformable=transformable,
                     transform_error=error,
@@ -249,16 +254,16 @@ class DopiaRuntime(Interposer):
             with self._artifact_lock:
                 if work_dim not in artifacts.malleable:
                     self._verify_buildable(kernel)
-                    artifacts.malleable[work_dim] = make_malleable(
-                        kernel.info, work_dim=work_dim
-                    )
+                    artifacts.malleable[work_dim] = (
+                        artifacts.pending.pop(work_dim, None)
+                        or make_malleable(kernel.info, work_dim=work_dim))
         return artifacts.malleable[work_dim]
 
     @staticmethod
     def _verify_buildable(kernel: Kernel) -> None:
-        """Legality gate at build time: ``verify_kernel`` runs before the
-        malleable transform and, under ``DOPIA_VERIFY=raise``, a kernel
-        with ERROR diagnostics is refused rather than transformed.  The
+        """Legality gate at build time: ``verify_kernel`` runs before a
+        malleable variant is handed out and, under ``DOPIA_VERIFY=raise``,
+        a kernel with ERROR diagnostics is refused rather than run.  The
         default ``off`` costs one env lookup."""
         if os.environ.get("DOPIA_VERIFY", "off").strip().lower() \
                 in ("", "off"):

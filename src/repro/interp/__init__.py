@@ -36,7 +36,6 @@ from .executor import (
 from .ndrange import NDRange
 from .stats import ExecutionStats, execution_stats
 from .vectorize import (
-    AUTO_MIN_WORK_ITEMS,
     BACKENDS,
     Eligibility,
     VectorizedExecutor,
@@ -48,8 +47,8 @@ from .vectorize import (
 __all__ = [
     "ArrayRef", "KernelExecutor", "KernelRuntimeError", "WorkGroupContext",
     "WorkItemContext", "execute_kernel", "NDRange", "c_div", "c_mod",
-    "AUTO_MIN_WORK_ITEMS", "BACKENDS", "CompiledKernel", "Eligibility",
-    "ExecutionStats", "JitExecutor", "JitUnsupported", "VectorizedExecutor",
+    "BACKENDS", "CompiledKernel", "Eligibility", "ExecutionStats",
+    "JitExecutor", "JitUnsupported", "VectorizedExecutor",
     "check_vectorizable", "compile_cached", "compile_kernel",
     "execution_stats", "jit_cache_stats", "make_executor", "resolve_backend",
 ]

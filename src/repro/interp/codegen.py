@@ -1506,7 +1506,10 @@ def compile_cached(info: KernelInfo, args: dict[str, Any],
     of the key; so are buffer extents and dtypes, because lowering
     specializes widening and bounds constants on both.  Negative results
     (:class:`JitUnsupported`) are cached too, so repeated launches of an
-    ineligible kernel pay for the analysis once.
+    ineligible kernel pay for the analysis once.  The cache keeps a
+    traceback-free copy and every raise is a fresh exception: re-raising
+    one cached instance would chain each caller's stack onto its
+    ``__traceback__`` and keep those frames alive with the cache.
     """
     name = info.kernel.name
     _scalars, _buffers, key = _specialize(info, args, ndrange)
@@ -1518,13 +1521,13 @@ def compile_cached(info: KernelInfo, args: dict[str, Any],
             if hit is not None:
                 execution_stats.record_jit_cache_hit(name)
                 if isinstance(hit, JitUnsupported):
-                    raise hit
+                    raise JitUnsupported(str(hit), hit.location)
                 return hit
     started = time.perf_counter()
     try:
         result: Any = compile_kernel(info, args, ndrange)
     except JitUnsupported as exc:
-        result = exc
+        result = JitUnsupported(str(exc), exc.location)
     except Exception as exc:  # defensive: a compiler bug must never
         # break a launch — degrade to the vector tier instead.
         result = JitUnsupported(f"internal jit-compiler error: {exc!r}")
@@ -1548,7 +1551,7 @@ def compile_cached(info: KernelInfo, args: dict[str, Any],
             programs.pop(next(iter(programs)))
         programs[key] = result
     if isinstance(result, JitUnsupported):
-        raise result
+        raise JitUnsupported(str(result), result.location)
     return result
 
 

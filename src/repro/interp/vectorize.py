@@ -74,13 +74,9 @@ from .ndrange import NDRange
 from .stats import execution_stats
 
 #: Recognised backend names, in precedence order for documentation.
-#: ``auto`` tries jit -> vector -> scalar, stopping at the first tier
-#: that accepts the kernel and launch.
+#: ``auto`` (an alias of ``jit``) tries jit -> vector -> scalar, stopping
+#: at the first tier that accepts the kernel and launch.
 BACKENDS = ("auto", "jit", "vector", "scalar")
-
-#: ``auto`` keeps tiny launches on the scalar path: below this many total
-#: work-items the per-batch NumPy dispatch overhead eats the win.
-AUTO_MIN_WORK_ITEMS = 64
 
 #: Upper bound on lanes per batch, so private variables stay cache-sized.
 MAX_LANES_PER_BATCH = 1 << 16
@@ -241,9 +237,9 @@ def make_executor(
     every eligible kernel (ineligible kernels still run — scalar — so the
     flag never breaks a program); ``jit`` additionally trace-compiles the
     launch to a straight-line NumPy program when the kernel is inside the
-    JIT subset (reverting to ``vector`` when not); ``auto`` behaves like
-    ``jit`` but keeps launches below :data:`AUTO_MIN_WORK_ITEMS` on the
-    scalar path.
+    JIT subset (reverting to ``vector`` when not); ``auto`` is an alias
+    of ``jit``.  The tier follows the kernel's structure, not the launch
+    size: a launch of a few work-items can still run a deep loop nest.
     """
     choice = resolve_backend(backend)
     name = info.kernel.name
@@ -253,12 +249,6 @@ def make_executor(
     eligibility = check_vectorizable(info)
     if not eligibility.eligible:
         _record_choice(name, "scalar", eligibility.reason)
-        return KernelExecutor(info, args, ndrange)
-    if choice == "auto" and ndrange.total_work_items < AUTO_MIN_WORK_ITEMS:
-        _record_choice(
-            name, "scalar",
-            f"launch of {ndrange.total_work_items} work-items is below the "
-            f"vectorization threshold ({AUTO_MIN_WORK_ITEMS})")
         return KernelExecutor(info, args, ndrange)
     if choice in ("auto", "jit"):
         from .codegen import JitExecutor, JitUnsupported, compile_cached

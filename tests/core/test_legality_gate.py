@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from repro import cl
+from repro.analysis.diagnostics import Diagnostic, VerifyReport
 from repro.analysis.verify import VerifyError
-from repro.core import run_dynamic
+from repro.core import run_dynamic, runtime as runtime_module
 from repro.frontend import analyze_kernel, parse_kernel
 from repro.interp import NDRange
 from repro.sim import DopSetting
@@ -33,6 +34,15 @@ __kernel void ok(__global float* c, int n)
 {
     int i = get_global_id(0);
     if (i < n) c[i] = (float)i;
+}
+"""
+
+TILED = """
+__kernel void tiled(__global float* c, int nx)
+{
+    int x = get_global_id(0);
+    int y = get_global_id(1);
+    c[y * nx + x] = (float)(x + y);
 }
 """
 
@@ -68,6 +78,89 @@ class TestRuntimeGate:
         monkeypatch.setenv("DOPIA_VERIFY", "warn")
         launch_through_runtime(trained_runtime, RACY, "racy")
         assert "RACE001" in capsys.readouterr().err
+
+
+#: (source, kernel name, global size, local size) of a launch whose
+#: variant the build made, and of one whose variant is built lazily
+LAUNCHES = {
+    "1-D build-time variant": (CLEAN, "ok", (64,), (16,)),
+    "2-D lazy variant": (TILED, "tiled", (8, 8), (4, 4)),
+}
+
+
+def build(runtime, launch):
+    """Build one of :data:`LAUNCHES`; returns a launcher for it on a
+    functional queue, the kernel and its output buffer."""
+    source, name, global_size, local_size = LAUNCHES[launch]
+    ctx = cl.create_context("kaveri")
+    buffer = np.zeros(64)
+    with cl.interposed(runtime):
+        kernel = ctx.create_program_with_source(source).build() \
+            .create_kernel(name)
+    kernel.set_args(ctx.create_buffer(buffer), global_size[0])
+    queue = cl.create_command_queue(ctx, functional=True)
+
+    def launch_once():
+        with cl.interposed(runtime):
+            queue.enqueue_nd_range_kernel(kernel, global_size, local_size)
+
+    return launch_once, kernel, buffer
+
+
+class TestBuildTimeVariant:
+    """The 1-D malleable variant the build's transformability test makes
+    is the one the first 1-D launch runs, and it waits behind the
+    ``verify_kernel`` gate like a lazily built variant does."""
+
+    @pytest.fixture
+    def transforms(self, monkeypatch):
+        """Work dimensions of the runtime's ``make_malleable`` calls."""
+        calls = []
+        real = runtime_module.make_malleable
+
+        def counting(info, work_dim):
+            calls.append(work_dim)
+            return real(info, work_dim=work_dim)
+
+        monkeypatch.setattr(runtime_module, "make_malleable", counting)
+        return calls
+
+    def test_build_and_first_launch_transform_once(self, trained_runtime,
+                                                   transforms):
+        launch, kernel, buffer = build(trained_runtime,
+                                       "1-D build-time variant")
+        launch()
+        launch()
+        assert np.array_equal(buffer, np.arange(64.0))
+        assert transforms == [1]
+        artifacts = trained_runtime._artifacts(kernel)
+        assert list(artifacts.malleable) == [1] and not artifacts.pending
+
+    @pytest.mark.parametrize("launch", list(LAUNCHES))
+    def test_raise_refuses_convicted_kernel_before_any_variant(
+            self, trained_runtime, monkeypatch, transforms, launch):
+        """The kernel is built under ``off``; ``raise`` comes into force
+        before its first launch, so the build's own verification never
+        saw it and the runtime's gate is what refuses it."""
+        def convicted(info):
+            report = VerifyReport(kernel=info.kernel.name)
+            report.extend([Diagnostic.at("RACE001", info.kernel.name,
+                                         "planted build-time error")])
+            return report
+
+        def scheduled(*args, **kwargs):
+            raise AssertionError("a malleable variant reached the scheduler")
+
+        monkeypatch.delenv("DOPIA_VERIFY", raising=False)
+        launch_once, kernel, _ = build(trained_runtime, launch)
+        assert transforms == [1]
+        monkeypatch.setenv("DOPIA_VERIFY", "raise")
+        monkeypatch.setattr("repro.analysis.verify.verify_kernel", convicted)
+        monkeypatch.setattr(runtime_module, "run_dynamic", scheduled)
+        with pytest.raises(VerifyError, match="planted"):
+            launch_once()
+        artifacts = trained_runtime._artifacts(kernel)
+        assert artifacts.malleable == {} and transforms == [1]
 
 
 class TestSchedulerGate:

@@ -53,8 +53,10 @@ def _copy_args(args):
     }
 
 
-def assert_bit_identical(source, args, ndrange, kernel_name=None):
-    """Run ``source`` under all three backends and compare buffer bytes.
+def assert_bit_identical(source, args, ndrange, kernel_name=None,
+                         backends=("vector", "jit")):
+    """Run ``source`` under the scalar oracle and each of ``backends`` and
+    compare buffer bytes.
 
     The jit leg goes through the ``jit`` entry point, which compiles the
     kernel when eligible and transparently runs the vector tier when the
@@ -64,7 +66,7 @@ def assert_bit_identical(source, args, ndrange, kernel_name=None):
     execute_kernel(source, scalar_args, ndrange,
                    kernel_name=kernel_name, backend="scalar")
     compiled_args = {}
-    for backend in ("vector", "jit"):
+    for backend in backends:
         compiled_args[backend] = _copy_args(args)
         execute_kernel(source, compiled_args[backend], ndrange,
                        kernel_name=kernel_name, backend=backend)
@@ -76,13 +78,13 @@ def assert_bit_identical(source, args, ndrange, kernel_name=None):
             assert value.tobytes() == candidate[name].tobytes(), (
                 f"buffer {name!r} differs between scalar and {backend}"
             )
-    return scalar_args, compiled_args["vector"]
+    return scalar_args, compiled_args[backends[0]]
 
 
-def assert_workload_bit_identical(workload, rng=0):
+def assert_workload_bit_identical(workload, rng=0, backends=("vector", "jit")):
     return assert_bit_identical(
         workload.source, workload.full_args(rng), workload.ndrange(),
-        kernel_name=workload.kernel_name,
+        kernel_name=workload.kernel_name, backends=backends,
     )
 
 
@@ -275,6 +277,40 @@ class TestSyntheticSweep:
     @pytest.mark.parametrize("dtype", ["float", "int"])
     def test_full_sweep(self, pattern, dim, dtype):
         assert_workload_bit_identical(_synthetic_case(pattern, dim, dtype))
+
+
+# -- cold-build geometry: tiny launches, deep loop nests ---------------------
+
+#: Table-2 slots at the geometry of a cold build's first launches (16
+#: work-items in 16-item work-groups, the default extent): few work-items,
+#: each running a 3-D or 4-D loop nest, which ``auto`` now compiles.
+BUILD_COLD_SLOTS = [("1mat4d", 1), ("1mat4d1R", 1), ("2mat3d1T", 2)]
+
+SAXPY_SRC = """
+__kernel void saxpy(__global float* X, __global float* Y, float a, int n)
+{
+    int i = get_global_id(0);
+    if (i < n) Y[i] = a * X[i] + Y[i];
+}
+"""
+
+
+class TestBuildColdGeometry:
+    @pytest.mark.parametrize("pattern,dim", BUILD_COLD_SLOTS)
+    def test_table2_slot(self, pattern, dim):
+        spec = SyntheticSpec.from_pattern(pattern, dim=dim)
+        workload = make_synthetic(spec, size=16, wg_items=16)
+        assert_workload_bit_identical(workload, backends=("jit",))
+        assert execution_stats.backend_for(workload.kernel_name) == "jit"
+
+    @pytest.mark.parametrize("n", [1, 17])
+    def test_ragged_saxpy(self, n):
+        rng = np.random.default_rng(n)
+        args = {"X": rng.standard_normal(n).astype(np.float32),
+                "Y": rng.standard_normal(n).astype(np.float32),
+                "a": 1.5, "n": n}
+        assert_bit_identical(SAXPY_SRC, args, NDRange(n, 1),
+                             backends=("jit",))
 
 
 # -- hypothesis: random parameters and launch geometries ---------------------

@@ -11,7 +11,6 @@ import pytest
 
 from repro.frontend import analyze_kernel, parse
 from repro.interp import (
-    AUTO_MIN_WORK_ITEMS,
     KernelExecutor,
     NDRange,
     VectorizedExecutor,
@@ -103,17 +102,13 @@ class TestBackendResolution:
                                  backend="vector")
         assert isinstance(executor, VectorizedExecutor)
 
-    def test_auto_keeps_small_launches_scalar(self):
-        n = AUTO_MIN_WORK_ITEMS // 2
-        executor = make_executor(info_of(SAXPY), saxpy_args(n), NDRange(n, 1),
-                                 backend="auto")
-        assert isinstance(executor, KernelExecutor)
-
-    def test_auto_compiles_large_launches(self):
+    @pytest.mark.parametrize("n", [1, 16, 17])
+    def test_auto_compiles_any_launch_size(self, n):
+        # The tier follows the kernel, not the launch size: a launch of a
+        # few work-items can still run a deep loop nest per item.
         from repro.interp import JitExecutor
 
-        n = AUTO_MIN_WORK_ITEMS * 2
-        executor = make_executor(info_of(SAXPY), saxpy_args(n), NDRange(n, 32),
+        executor = make_executor(info_of(SAXPY), saxpy_args(n), NDRange(n, 1),
                                  backend="auto")
         assert isinstance(executor, JitExecutor)
 
