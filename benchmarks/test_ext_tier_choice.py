@@ -19,7 +19,7 @@ so it is deterministic.  Run with ``-s`` to see the table.
 import numpy as np
 import pytest
 
-from repro.interp import JitExecutor, VectorizedExecutor, make_executor
+from repro.interp import JitExecutor, make_executor
 from repro.workloads import SCALED_REAL_FACTORIES, make_synthetic
 from repro.workloads.synthetic import (
     TABLE4_DTYPES,
@@ -39,12 +39,11 @@ SLOTS = (
 SYNTHETIC_SIZE = 16
 SYNTHETIC_WG = 16
 
-#: Launches ending on each tier.  PageRank and SpMV loop to a bound read
-#: from a buffer, which the jit compiler declines; nothing here is
-#: outside the vector tier.
-EXPECTED_TIERS = {"jit": 6 * len(SLOTS) + 12, "vector": 2}
+#: Launches ending on each tier.  Every one compiles: PageRank and SpMV
+#: loop to a bound read from a buffer, which runs as a masked loop.
+EXPECTED_TIERS = {"jit": 6 * len(SLOTS) + 14}
 
-TIERS = {JitExecutor: "jit", VectorizedExecutor: "vector"}
+TIERS = {JitExecutor: "jit"}
 
 
 def workloads():

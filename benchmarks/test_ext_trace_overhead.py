@@ -3,8 +3,8 @@
 The observability layer promises to be zero-perturbation *and* cheap:
 every instrumentation site is one ``tracer.enabled`` attribute check when
 tracing is off, and a bounded ring-buffer append when it is on.  This
-bench times the Algorithm-1 fast path (GESUMMV, vectorized
-backend) with the tracer disabled and enabled and asserts the enabled run
+bench times the Algorithm-1 fast path (GESUMMV, jit backend) with
+the tracer disabled and enabled and asserts the enabled run
 stays within 5% of the disabled one — so instrumentation creep that would
 make tracing unusable on real runs fails CI instead of landing silently.
 
@@ -43,7 +43,7 @@ REPEATS = 15
 #: instrumentation site (span, per-round instants, backend choice) often.
 LAUNCHES_PER_SAMPLE = 3
 
-#: CPU-only keeps the sample on the vectorized fast path — the GPU side
+#: CPU-only keeps the sample on the jit fast path — the GPU side
 #: of a co-executed launch runs the malleable kernel on the scalar
 #: interpreter and would swamp the measurement with interpreter time.
 SETTING = DopSetting(cpu_threads=4, gpu_fraction=0.0)
@@ -57,7 +57,7 @@ def _one_sample(info, malleable, workload):
     for _ in range(LAUNCHES_PER_SAMPLE):
         trace = run_dynamic(
             info, malleable, args, workload.ndrange(), SETTING,
-            backend="vector",
+            backend="jit",
         )
     elapsed = time.perf_counter() - started
     assert trace.total == workload.ndrange().total_groups
@@ -114,7 +114,7 @@ def test_ext_trace_overhead_within_budget():
     overhead = ratio - 1.0
     result = {
         "bench": "trace_overhead",
-        "workload": "GESUMMV n=256 wg=64 (vector backend, dynamic schedule, "
+        "workload": "GESUMMV n=256 wg=64 (jit backend, dynamic schedule, "
                     "cpu-only DoP)",
         "repeats": REPEATS,
         "estimator": "median of adjacent enabled/disabled pair ratios",

@@ -1333,7 +1333,7 @@ def _run_static_race_pass(model: AccessModel) -> list[Diagnostic]:
 
 
 def _run_vectorize_pass(info: KernelInfo) -> tuple[list[Diagnostic], str]:
-    from ..interp.vectorize import check_vectorizable  # lazy: avoids cycle
+    from ..interp.backend import check_vectorizable  # lazy: avoids cycle
 
     eligibility = check_vectorizable(info)
     if eligibility.eligible:

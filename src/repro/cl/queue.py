@@ -19,7 +19,7 @@ from typing import Any, Optional
 
 from ..analysis.profile import profile_kernel
 from ..interp.ndrange import NDRange
-from ..interp.vectorize import make_executor
+from ..interp.backend import make_executor
 from ..obs import tracer
 from ..obs.tracer import NULL_SPAN
 from ..sim.engine import DopSetting, simulate_execution

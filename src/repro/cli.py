@@ -44,6 +44,7 @@ from .core.collect import (
 )
 from .core.training import _workloads_fingerprint, default_cache_dir
 from .frontend import FrontendError, analyze_kernel, parse_kernel
+from .interp.backend import BACKENDS
 from .ml import MODEL_FAMILIES, make_model, tree_to_c
 from .sim import get_platform
 from .transform import make_cpu_kernel, make_malleable
@@ -234,14 +235,13 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_backends(args: argparse.Namespace) -> int:
-    """Differential run: execute one launch on every interpreter backend
-    (scalar oracle, vectorized, jit), compare the output buffers
-    bit-for-bit, and report the speedups."""
+    """Differential run: execute one launch on both interpreter backends
+    (scalar oracle, jit), compare the output buffers bit-for-bit, and
+    report the speedup."""
     from .interp import (
         JitUnsupported,
         KernelExecutor,
         NDRange,
-        VectorizedExecutor,
         check_vectorizable,
         compile_cached,
         execution_stats,
@@ -304,19 +304,12 @@ def cmd_backends(args: argparse.Namespace) -> int:
         )
     scalar_s = _time.perf_counter() - started
 
-    vector_args = build_args()
-    executor = VectorizedExecutor(info, vector_args, ndrange)
-    started = _time.perf_counter()
-    executor.run()
-    vector_s = _time.perf_counter() - started
-
     jit_args = build_args()
     jit_s = jit_note = None
     try:
         compiled = compile_cached(info, jit_args, ndrange)
     except JitUnsupported as exc:
         jit_note = f"declined: {exc}"
-        jit_args = None
     else:
         jit_executor = make_executor(info, jit_args, ndrange, backend="jit")
         started = _time.perf_counter()
@@ -328,29 +321,22 @@ def cmd_backends(args: argparse.Namespace) -> int:
         if compiled.oob_elided_by_verdict:
             notes.append("oob-elided-by-verdict")
         if getattr(jit_executor, "used_fallback", False):
-            notes.append("fell back to vector")
+            notes.append("fell back to scalar")
         jit_note = ", ".join(notes)
 
     mismatched = [
         name for name in info.buffer_params
-        if np.asarray(scalar_args[name]).tobytes()
-        != np.asarray(vector_args[name]).tobytes()
-        or (jit_args is not None
-            and np.asarray(scalar_args[name]).tobytes()
-            != np.asarray(jit_args[name]).tobytes())
+        if jit_s is not None
+        and np.asarray(scalar_args[name]).tobytes()
+        != np.asarray(jit_args[name]).tobytes()
     ]
     print(f"scalar    : {scalar_s:.4f} s")
-    print(f"vector    : {vector_s:.4f} s"
-          + (" (fell back to scalar)" if executor.used_fallback else ""))
     if jit_s is not None:
         print(f"jit       : {jit_s:.4f} s ({jit_note})")
+        if jit_s > 0:
+            print(f"speedup   : {scalar_s / jit_s:.1f}x (jit over scalar)")
     else:
         print(f"jit       : - ({jit_note})")
-    if vector_s > 0:
-        print(f"speedup   : {scalar_s / vector_s:.1f}x (vector over scalar)")
-    if jit_s is not None and jit_s > 0:
-        print(f"            {scalar_s / jit_s:.1f}x (jit over scalar), "
-              f"{vector_s / jit_s:.1f}x (jit over vector)")
     print(f"identical : {not mismatched}"
           + (f" (mismatch in {', '.join(mismatched)})" if mismatched else ""))
     print(execution_stats.summary(), file=sys.stderr)
@@ -634,8 +620,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     """Backend micro-benchmark with a committed-baseline regression guard.
 
-    Times the scalar / vector / jit tiers on representative registry
-    kernels, checks bit-identity, and prints the table.  ``--out`` writes
+    Times the scalar and jit tiers on representative registry kernels,
+    checks bit-identity, and prints the table.  ``--out`` writes
     the JSON report; ``--update-baseline`` refreshes the committed
     ``BENCH_backend.json``; ``--check`` replays against a baseline and
     fails when any speedup drops below ``--check-ratio`` of it (the CI
@@ -647,25 +633,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     payload = backend_bench(repeats=args.repeats)
 
-    header = (f"{'kernel':10s} {'items':>7s} {'scalar':>9s} {'vector':>9s} "
-              f"{'jit':>9s} {'vec-x':>6s} {'jit-x':>6s} {'jit/vec':>7s} "
-              f"{'path':>6s}  identical")
+    header = (f"{'kernel':10s} {'items':>7s} {'scalar':>9s} {'jit':>9s} "
+              f"{'jit-x':>6s} {'path':>6s}  identical")
     print(header)
     for name, row in payload["kernels"].items():
         print(f"{name:10s} {row['work_items']:7d} {row['scalar_s']:8.4f}s "
-              f"{row['vector_s']:8.4f}s {row['jit_s']:8.4f}s "
-              f"{row['vector_speedup']:5.1f}x {row['jit_speedup']:5.1f}x "
-              f"{row['jit_over_vector']:6.1f}x {row['jit_path']:>6s}  "
-              f"{row['identical']}")
-    if "geomean_jit_over_vector" in payload:
-        print(f"geomean   : {payload['geomean_jit_over_vector']:.2f}x "
-              "(jit over vector, uniform-control fast path)")
+              f"{row['jit_s']:8.4f}s {row['jit_speedup']:5.1f}x "
+              f"{row['jit_path']:>6s}  {row['identical']}")
 
     broken = [name for name, row in payload["kernels"].items()
               if not row["identical"]]
     if broken:
         raise SystemExit(
-            f"error: fast-tier buffers diverged from scalar on {broken}")
+            f"error: jit buffers diverged from scalar on {broken}")
 
     out = args.out
     if args.update_baseline:
@@ -690,8 +670,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"error: {len(failures)} backend-speedup regression(s) "
                 f"(< {args.check_ratio:.0%} of baseline)")
-        print(f"guard     : aggregate speedups within "
-              f"{args.check_ratio:.0%} of baseline")
+        print(f"guard     : jit speedups pass against the baseline "
+              f"({len(warnings)} warning(s))")
     return 0
 
 
@@ -1106,11 +1086,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "schedule OpenCL kernels on simulated integrated processors.",
     )
     parser.add_argument(
-        "--backend", choices=("auto", "jit", "vector", "scalar"), default=None,
+        "--backend", choices=BACKENDS, default=None,
         help="kernel-execution backend for functional runs (sets "
              "DOPIA_BACKEND; default: auto — trace-compiled NumPy program "
-             "where eligible, vectorized batches otherwise, scalar "
-             "interpreter as the last resort)",
+             "where the kernel compiles, the scalar interpreter otherwise)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1176,7 +1155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "backends",
-        help="differential-test one launch: scalar vs vector vs jit backend",
+        help="differential-test one launch: scalar oracle vs jit backend",
     )
     add_kernel_options(p)
     p.add_argument("--buffer", action="append", metavar="NAME=ELEMENTS",
@@ -1370,6 +1349,11 @@ def main(argv: list[str] | None = None) -> int:
         # Environment, not plumbing: every layer (queue, scheduler,
         # runtime) resolves its backend through DOPIA_BACKEND.
         os.environ["DOPIA_BACKEND"] = args.backend
+    backend = os.environ.get("DOPIA_BACKEND")
+    if backend and backend not in BACKENDS:
+        print(f"dopia: error: DOPIA_BACKEND={backend!r} is not a backend; "
+              f"expected one of {', '.join(BACKENDS)}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -27,7 +27,7 @@ from typing import Any
 
 from ..frontend.semantics import KernelInfo
 from ..interp.ndrange import NDRange
-from ..interp.vectorize import make_executor
+from ..interp.backend import make_executor
 from ..obs import tracer
 from ..obs.tracer import NULL_SPAN
 from ..sim.engine import DopSetting

@@ -1,21 +1,25 @@
 """Functional kernel interpreter: the correctness substrate.
 
-Three backends execute the same OpenCL-C AST:
+Two backends execute the same OpenCL-C AST:
 
 * :class:`KernelExecutor` — the scalar oracle, one work-item at a time,
   with full barrier/atomic semantics.
-* :class:`VectorizedExecutor` — batched NumPy execution for eligible
-  kernels, bit-identical to the oracle (and differential-tested against
-  it), roughly an order of magnitude faster.
-* :class:`JitExecutor` — trace-compiled straight-line NumPy programs for
-  kernels inside the JIT subset, specialized and cached per launch
-  shape, with the vectorized backend as its transparent fallback.
+* :class:`JitExecutor` — trace-compiled NumPy programs over all
+  work-items of a batch, specialized and cached per launch shape,
+  bit-identical to the oracle (and differential-tested against it).
+  The oracle is its transparent fallback.
 
-:func:`make_executor` picks between them
-(``auto``/``jit``/``vector``/``scalar``, environment default
-``DOPIA_BACKEND``).
+:func:`make_executor` picks between them (``auto``/``jit``/``scalar``,
+environment default ``DOPIA_BACKEND``).
 """
 
+from .backend import (
+    BACKENDS,
+    Eligibility,
+    check_vectorizable,
+    make_executor,
+    resolve_backend,
+)
 from .builtins import c_div, c_mod
 from .codegen import (
     CompiledKernel,
@@ -35,20 +39,12 @@ from .executor import (
 )
 from .ndrange import NDRange
 from .stats import ExecutionStats, execution_stats
-from .vectorize import (
-    BACKENDS,
-    Eligibility,
-    VectorizedExecutor,
-    check_vectorizable,
-    make_executor,
-    resolve_backend,
-)
 
 __all__ = [
     "ArrayRef", "KernelExecutor", "KernelRuntimeError", "WorkGroupContext",
     "WorkItemContext", "execute_kernel", "NDRange", "c_div", "c_mod",
     "BACKENDS", "CompiledKernel", "Eligibility", "ExecutionStats",
-    "JitExecutor", "JitUnsupported", "VectorizedExecutor",
+    "JitExecutor", "JitUnsupported",
     "check_vectorizable", "compile_cached", "compile_kernel",
     "execution_stats", "jit_cache_stats", "make_executor", "resolve_backend",
 ]

@@ -1,15 +1,15 @@
-"""Backend micro-benchmark: scalar oracle vs vector batches vs jit programs.
+"""Backend micro-benchmark: scalar oracle vs jit programs.
 
-Times representative registry kernels on each execution tier, verifies the
-fast tiers stay bit-identical to the scalar oracle, and emits the JSON
+Times representative registry kernels on both execution tiers, verifies
+the jit stays bit-identical to the scalar oracle, and emits the JSON
 payload committed as ``BENCH_backend.json`` — the baseline the CI ``perf``
 lane replays against (``dopia bench --check``).
 
-The regression guard compares *speedup ratios* (jit over vector, vector
-over scalar) rather than absolute wall-clock, so the committed baseline
-stays meaningful across machines of different absolute speed: a 10%
-relative slowdown of one tier against another is a code regression, a
-uniformly slower runner is not.
+The regression guard compares *speedup ratios* (jit over scalar) rather
+than absolute wall-clock, so the committed baseline stays meaningful
+across machines of different absolute speed: a 10% relative slowdown of
+one tier against another is a code regression, a uniformly slower runner
+is not.
 """
 
 from __future__ import annotations
@@ -21,17 +21,15 @@ from typing import Callable
 import numpy as np
 
 from .executor import KernelExecutor
-from .vectorize import VectorizedExecutor
 
 #: Report schema; bump when the payload shape changes incompatibly.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: name -> zero-arg factory producing a Workload.  Mid-sized instances:
 #: large enough that per-launch overhead does not dominate, small enough
 #: that the scalar oracle finishes in a couple of seconds.  GESUMMV /
 #: ATAX1 / MVT1 take the uniform-control fast path (whole-array jit
-#: program, no masks); SpMV's irregular row loop declines to vector and
-#: pins down the fallback half of the lattice.
+#: program, no masks); SpMV's irregular row loop runs as a masked loop.
 def _default_subjects() -> dict[str, Callable]:
     from ..workloads import make_atax1, make_gesummv, make_mvt1, make_spmv
 
@@ -64,7 +62,7 @@ def _best_of(run: Callable[[], None], repeats: int,
     """Best single-run time, repeating until both ``repeats`` runs and
     ``min_seconds`` of total measurement have accumulated.
 
-    The compiled tiers finish in milliseconds, where two or three samples
+    The jit tier finishes in milliseconds, where two or three samples
     leave >10% run-to-run noise — enough to trip a 0.9x regression floor
     spuriously.  Accumulating a minimum measurement window keeps the
     reported best stable without inflating the cost of second-scale runs
@@ -88,15 +86,14 @@ def backend_bench(
     repeats: int = 3,
     rng: int = 0,
 ) -> dict:
-    """Measure every backend on every subject and build the JSON payload.
+    """Measure both backends on every subject and build the JSON payload.
 
-    Scalar and vector are timed best-of-``repeats`` on fresh buffers each
-    repetition.  The jit tier is compiled once up front (the compile is
-    reported separately as ``jit_compile_s``) and then timed with a warm
-    program cache — the steady state a server or repeated launch sees.
-    Kernels whose compile declines run the vector tier under the jit
-    entry point instead and are marked ``jit_path: "vector"``; they are
-    excluded from the jit-over-vector geomean.
+    The scalar oracle is timed once.  The jit tier is compiled once up
+    front (the compile is reported separately as ``jit_compile_s``) and
+    then timed best-of-``repeats`` on fresh buffers with a warm program
+    cache — the steady state a server or repeated launch sees.  Kernels
+    whose compile declines run the oracle under the jit entry point
+    instead and are marked ``jit_path: "scalar"``.
     """
     from .codegen import JitExecutor, JitUnsupported, compile_cached
 
@@ -104,7 +101,6 @@ def backend_bench(
         subjects = _default_subjects()
 
     kernels: dict[str, dict] = {}
-    fast_path_ratios: list[float] = []
     for name, factory in subjects.items():
         workload = factory()
         info = workload.kernel_info()
@@ -112,69 +108,43 @@ def backend_bench(
         base = workload.full_args(rng=rng)
 
         # The scalar oracle is 2-3 orders of magnitude slower than the
-        # compiled tiers — a single timing is already noise-free, and
-        # best-of-repeats would multiply the bench's wall time for nothing.
+        # jit — a single timing is already noise-free, and best-of-repeats
+        # would multiply the bench's wall time for nothing.
         scalar_args = _copy_args(base)
         scalar_s = _best_of(
             lambda: KernelExecutor(info, scalar_args, ndrange).run(), 1,
             min_seconds=0.0)
 
-        vector_args = _copy_args(base)
-        vector_s = _best_of(
-            lambda: VectorizedExecutor(
-                info, _copy_args(base), ndrange).run(), repeats)
-        VectorizedExecutor(info, vector_args, ndrange).run()
-
-        jit_path = "jit"
-        jit_compile_s = 0.0
-        compiled = None
         try:
             compiled = compile_cached(info, _copy_args(base), ndrange)
         except JitUnsupported:
-            jit_path = "vector"
-        else:
-            jit_compile_s = compiled.compile_seconds
+            compiled = None
 
+        def run_jit(args: dict) -> None:
+            if compiled is None:
+                KernelExecutor(info, args, ndrange).run()
+            else:
+                JitExecutor(info, args, ndrange, compiled).run()
+
+        jit_s = _best_of(lambda: run_jit(_copy_args(base)), repeats)
         jit_args = _copy_args(base)
-        if compiled is not None:
-            jit_s = _best_of(
-                lambda: JitExecutor(
-                    info, _copy_args(base), ndrange, compiled).run(), repeats)
-            JitExecutor(info, jit_args, ndrange, compiled).run()
-        else:
-            jit_s = _best_of(
-                lambda: VectorizedExecutor(
-                    info, _copy_args(base), ndrange).run(), repeats)
-            VectorizedExecutor(info, jit_args, ndrange).run()
-
-        identical = (_buffers_identical(info, scalar_args, vector_args)
-                     and _buffers_identical(info, scalar_args, jit_args))
-        row = {
+        run_jit(jit_args)
+        kernels[name] = {
             "work_items": workload.total_work_items,
             "scalar_s": round(scalar_s, 6),
-            "vector_s": round(vector_s, 6),
             "jit_s": round(jit_s, 6),
-            "jit_compile_s": round(jit_compile_s, 6),
-            "jit_path": jit_path,
-            "vector_speedup": round(scalar_s / vector_s, 3),
+            "jit_compile_s": round(
+                compiled.compile_seconds if compiled else 0.0, 6),
+            "jit_path": "jit" if compiled is not None else "scalar",
             "jit_speedup": round(scalar_s / jit_s, 3),
-            "jit_over_vector": round(vector_s / jit_s, 3),
-            "identical": identical,
+            "identical": _buffers_identical(info, scalar_args, jit_args),
         }
-        if jit_path == "jit" and compiled is not None and not compiled.masked:
-            fast_path_ratios.append(vector_s / jit_s)
-        kernels[name] = row
 
-    payload = {
+    return {
         "schema": SCHEMA_VERSION,
         "repeats": repeats,
         "kernels": kernels,
     }
-    if fast_path_ratios:
-        payload["geomean_jit_over_vector"] = round(
-            math.exp(sum(math.log(r) for r in fast_path_ratios)
-                     / len(fast_path_ratios)), 3)
-    return payload
 
 
 #: Extra slack below ``ratio`` before a single kernel's metric becomes
@@ -192,12 +162,11 @@ def compare_reports(current: dict, baseline: dict,
 
     * **fatal** — buffers not bit-identical to scalar; a kernel's
       ``jit_path`` changing (e.g. the compiler silently declining a
-      kernel it used to take); the fast-path geomean below ``ratio``
-      times the baseline's; or any per-kernel speedup collapsing below
-      ``ratio - PER_KERNEL_SLACK`` of its baseline.
-    * **warning** — a per-kernel speedup between the hard floor and
+      kernel it used to take); or a kernel's ``jit_speedup`` collapsing
+      below ``ratio - PER_KERNEL_SLACK`` of its baseline.
+    * **warning** — a ``jit_speedup`` between the hard floor and
       ``ratio`` times its baseline: reported, but one noisy kernel does
-      not fail the lane when the aggregate is healthy.
+      not fail the lane.
     """
     failures: list[str] = []
     warnings: list[str] = []
@@ -208,32 +177,21 @@ def compare_reports(current: dict, baseline: dict,
         if reference is None:
             continue
         if not row.get("identical", False):
-            failures.append(f"{name}: fast-tier buffers diverged from scalar")
+            failures.append(f"{name}: jit buffers diverged from scalar")
         if row.get("jit_path") != reference.get("jit_path"):
             failures.append(
                 f"{name}: jit path changed "
                 f"{reference.get('jit_path')!r} -> {row.get('jit_path')!r}")
-        for metric in ("vector_speedup", "jit_speedup", "jit_over_vector"):
-            ref = reference.get(metric)
-            cur = row.get(metric)
-            if not ref or cur is None:
-                continue
-            if cur < hard * ref:
-                failures.append(
-                    f"{name}: {metric} {cur:.2f}x < {hard:.0%} of "
-                    f"baseline {ref:.2f}x")
-            elif cur < ratio * ref:
-                warnings.append(
-                    f"{name}: {metric} {cur:.2f}x < {ratio:.0%} of "
-                    f"baseline {ref:.2f}x (within noise floor)")
-    ref_geomean = baseline.get("geomean_jit_over_vector")
-    cur_geomean = current.get("geomean_jit_over_vector")
-    if ref_geomean and cur_geomean is not None:
-        if cur_geomean < ratio * ref_geomean:
+        ref = reference.get("jit_speedup")
+        cur = row.get("jit_speedup")
+        if not ref or cur is None:
+            continue
+        if cur < hard * ref:
             failures.append(
-                f"geomean jit-over-vector {cur_geomean:.2f}x < {ratio:.0%} "
-                f"of baseline {ref_geomean:.2f}x")
-    elif ref_geomean and cur_geomean is None:
-        failures.append("geomean jit-over-vector missing from this run "
-                        "(every fast-path kernel declined?)")
+                f"{name}: jit_speedup {cur:.2f}x < {hard:.0%} of "
+                f"baseline {ref:.2f}x")
+        elif cur < ratio * ref:
+            warnings.append(
+                f"{name}: jit_speedup {cur:.2f}x < {ratio:.0%} of "
+                f"baseline {ref:.2f}x (within noise floor)")
     return failures, warnings

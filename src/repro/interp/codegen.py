@@ -1,27 +1,31 @@
-"""JIT tier: trace-compile eligible kernels to straight-line NumPy programs.
+"""JIT tier: trace-compile eligible kernels to NumPy programs.
 
-The vectorized backend (:mod:`repro.interp.vectorize`) interprets the
-kernel AST per statement under lane masks.  This module removes the
-interpretive overhead for the common case: it lowers an eligible kernel
-AST plus one concrete launch (a :class:`repro.analysis.verify.LaunchSpec`)
-to Python/NumPy *source*, ``exec``-compiles it once, and caches the
-compiled function per (kernel, launch shape, buffer dtypes).
+This module lowers an eligible kernel AST plus one concrete launch (a
+:class:`repro.analysis.verify.LaunchSpec`) to Python/NumPy *source*,
+``exec``-compiles it once, and caches the compiled function per
+(kernel, launch shape, buffer dtypes).  Every private variable becomes a
+NumPy array over the work-items of a batch ("lanes").
 
 Specialization model (KLARAPTOR-style per-launch-shape programs):
 
 * every scalar kernel argument and the full ND-range geometry are
   compile-time constants folded into the generated source;
 * ``get_global_id``/``get_local_id``/``get_group_id`` become ``int64``
-  index arrays passed in per batch (the same ``_Lanes`` arrays the
-  vector backend uses, so lane order — and therefore "last writer
-  wins" — is identical to the scalar schedule);
+  index arrays passed in per batch (:class:`repro.interp.backend.Lanes`,
+  whose lane order — and therefore "last writer wins" — is identical to
+  the scalar schedule);
 * uniform control flow (loops and branches whose conditions do not vary
   across lanes) compiles to plain Python ``while``/``if`` around
   whole-array expressions — **no per-lane masks**;
-* a divergent branch compiles Triton-style: one boolean mask per branch
-  nest, with gathers clamped and scatters compressed under it.  For the
-  registry kernels the only divergence is the boundary guard, so the
-  mask materializes exactly on the ragged edge of the launch.
+* divergent control flow compiles Triton-style: one boolean mask per
+  branch nest, with gathers clamped and scatters compressed under it.
+  A lane-varying loop keeps a loop mask (``m = ctx.mask & cond``) and
+  iterates while ``m.any()``; divergent ``break``/``continue`` clear
+  their lanes from the loop mask and a divergent ``return`` clears them
+  from a kernel-wide live mask.  For most registry kernels the only
+  divergence is the boundary guard, so the mask materializes exactly on
+  the ragged edge of the launch; SpMV and PageRank loop to a bound read
+  from a buffer and run their row loops masked.
 
 An interval analysis over single-assignment integers proves guards like
 ``if (i < n)`` true at compile time whenever the launch is exact
@@ -30,19 +34,17 @@ erases both the guard and its mask.  The same intervals prove most
 affine accesses in bounds, eliding the bounds check per access; when
 that local proof fails, a cached OOB-clean verdict from
 :func:`repro.analysis.verify.verify_launch_cached` elides the check for
-the whole kernel.  ``unknown``/dirty verdicts keep the checks, which on
-failure revert the launch to the vector tier (which itself reverts to
-the scalar oracle).
+the whole kernel.  ``unknown``/dirty verdicts keep the checks.
 
-Exactness contract: generated code computes in the same precision and
-through the same primitives as the vector backend (int64/float64 lanes,
-``c_div`` truncation, ``math``-module transcendentals, loads widened
-like ``.item()``), so it inherits the vectorize module's documented
-bit-identity envelope against the scalar oracle.  Anything the compiler
-cannot prove it refuses at compile time (:class:`JitUnsupported`); any
-runtime surprise — a guard trip, a domain error, even a compiler bug —
-restores the pre-run buffer snapshot and re-runs the launch on the
-vector tier, so behaviour can never regress, only speed.
+Exactness contract: generated code computes in the oracle's precision
+and through the same primitives (int64/float64 lanes, ``c_div``
+truncation, ``math``-module transcendentals, loads widened like
+``.item()``); :mod:`repro.interp.backend` documents the bit-identity
+envelope against the scalar oracle.  Anything the compiler cannot lower
+it refuses at compile time (:class:`JitUnsupported`) and the launch runs
+on the oracle; any runtime surprise — a guard trip, a domain error, even
+a compiler bug — restores the pre-run buffer snapshot and re-runs the
+launch on the oracle, so behaviour can never regress, only speed.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
@@ -58,21 +60,20 @@ import numpy as np
 from ..frontend import ast
 from ..frontend.semantics import KernelInfo, WORK_ITEM_BUILTINS
 from ..obs import tracer
+from .backend import (
+    INT_RESULT_MATH,
+    LANE_INT,
+    MATH_DOMAIN_CHECKS,
+    MATH_ERRORS,
+    MAX_LANES_PER_BATCH,
+    NATIVE_MATH,
+    WRAPPED_MATH,
+    Lanes,
+)
 from .builtins import INT_IMPLS, MATH_IMPLS, c_div, c_mod
-from .executor import _INT_TYPE_NAMES
+from .executor import _INT_TYPE_NAMES, KernelExecutor
 from .ndrange import NDRange
 from .stats import execution_stats
-from .vectorize import (
-    MAX_LANES_PER_BATCH,
-    VectorizedExecutor,
-    _INT_RESULT_MATH,
-    _Lanes,
-    _MATH_DOMAIN_CHECKS,
-    _MATH_ERRORS,
-    _NATIVE_MATH,
-    _VEC_INT,
-    _WRAPPED_MATH,
-)
 
 __all__ = [
     "CompiledKernel",
@@ -87,8 +88,8 @@ __all__ = [
 class JitUnsupported(Exception):
     """The kernel (or this launch of it) is outside the JIT subset.
 
-    Raised — and negatively cached — at compile time; the caller reverts
-    to the vector tier.  ``location`` points at the offending construct.
+    Raised — and negatively cached — at compile time; the caller runs
+    the scalar oracle.  ``location`` points at the offending construct.
     """
 
     def __init__(self, why: str, location=None):
@@ -100,8 +101,8 @@ class JitRuntimeGuard(Exception):
     """A runtime check in generated code tripped (OOB, shift range, ...).
 
     Never escapes :meth:`JitExecutor.run`: the executor restores the
-    buffer snapshot and re-runs on the vector tier, which reproduces the
-    oracle's exact behaviour (including its exception, if any).
+    buffer snapshot and re-runs on the scalar oracle, which reproduces
+    the exact behaviour (including its exception, if any).
     """
 
 
@@ -134,7 +135,7 @@ class _Runtime:
     """Helpers the generated source calls as ``rt.<name>(...)``.
 
     Every guard raises :class:`JitRuntimeGuard` (or a natural Python
-    error), which the executor converts into a transparent vector-tier
+    error), which the executor converts into a transparent oracle
     re-run — so these helpers only need to *detect* divergence from the
     oracle, never to reproduce its exact exception.
     """
@@ -291,7 +292,7 @@ class _Runtime:
             return 0.0
         try:
             return MATH_IMPLS[name](*args)
-        except _MATH_ERRORS as exc:
+        except MATH_ERRORS as exc:
             raise JitRuntimeGuard(f"math builtin {name!r}: {exc}") from exc
 
     @staticmethod
@@ -301,23 +302,23 @@ class _Runtime:
             width = next(
                 (a.shape[0] for a in args if isinstance(a, np.ndarray)),
                 mask.shape[0])
-            dtype = np.int64 if name in _INT_RESULT_MATH else np.float64
+            dtype = np.int64 if name in INT_RESULT_MATH else np.float64
             return np.zeros(width, dtype=dtype)
         full = mask is None or bool(mask.all())
         packed = args if full else \
             tuple(a[mask] if isinstance(a, np.ndarray) else a for a in args)
-        check = _MATH_DOMAIN_CHECKS.get(name)
+        check = MATH_DOMAIN_CHECKS.get(name)
         if check is not None and bool(np.any(check(*packed))):
             raise JitRuntimeGuard(
                 f"math builtin {name!r}: domain error on an active lane")
         try:
-            if name in _NATIVE_MATH:
-                result = _NATIVE_MATH[name](*packed)
-            elif name in _INT_RESULT_MATH:
-                result = _Runtime.as_int(_INT_RESULT_MATH[name](*packed))
+            if name in NATIVE_MATH:
+                result = NATIVE_MATH[name](*packed)
+            elif name in INT_RESULT_MATH:
+                result = _Runtime.as_int(INT_RESULT_MATH[name](*packed))
             else:
-                result = _WRAPPED_MATH[name](*packed)
-        except _MATH_ERRORS as exc:
+                result = WRAPPED_MATH[name](*packed)
+        except MATH_ERRORS as exc:
             raise JitRuntimeGuard(f"math builtin {name!r}: {exc}") from exc
         if not isinstance(result, np.ndarray):
             return result
@@ -335,7 +336,7 @@ class _Runtime:
 
     @staticmethod
     def int_fn(name: str, *args: Any) -> Any:
-        return _VEC_INT[name](*args)
+        return LANE_INT[name](*args)
 
 
 def _isf(value: Any) -> bool:
@@ -395,18 +396,46 @@ class _CondV:
 
 @dataclass
 class _Ctx:
-    """Divergence context: the current lane mask (a temp name) and depth."""
+    """Divergence context: the current lane mask (a temp name) and depth.
+
+    ``chain`` names every mask in scope, outermost first, ending with
+    ``mask``: a divergent ``break``/``continue``/``return`` clears its
+    lanes from a suffix of it.
+    """
 
     mask: Optional[str]
     depth: int
+    chain: tuple = ()
+
+    def sub(self, mask: str) -> "_Ctx":
+        return _Ctx(mask, self.depth + 1, self.chain + (mask,))
 
 
-class _Promote(Exception):
-    """Restart signal: these variables must be treated as lane-valued."""
+@dataclass
+class _Loop:
+    """An enclosing loop; ``mask``/``body`` are set when it runs masked."""
 
-    def __init__(self, names: set):
-        super().__init__("promote")
-        self.names = names
+    kind: str
+    depth: int                      # mask depth of the loop statement
+    node_id: int
+    mask: Optional[str] = None      # lanes still iterating
+    body: Optional[str] = None      # lanes still in this iteration
+
+
+#: Restart fact: the kernel body runs under a kernel-wide live mask.
+_LIVE = "_live"
+
+
+class _Restart(Exception):
+    """Restart signal: these facts must hold from the start of the compile.
+
+    A fact is a variable's generated name (it is lane-valued), the ``id``
+    of a loop statement (it runs masked), or :data:`_LIVE`.
+    """
+
+    def __init__(self, facts: set):
+        super().__init__("restart")
+        self.facts = facts
 
 
 @dataclass
@@ -429,24 +458,28 @@ _LOOP_FOR = "for"
 _LOOP_WHILE = "while"
 _LOOP_DO = "do"
 
+_JUMPS = (ast.Break, ast.Continue, ast.Return)
+
 
 class _Compiler:
     """Lowers one kernel AST + launch constants to Python source.
 
-    One pass; if a variable assumed uniform turns out to receive a
-    lane value, :class:`_Promote` restarts the compile with that
-    variable pre-promoted (laneness is monotone, so this terminates).
+    One pass; if a variable assumed uniform turns out to receive a lane
+    value, a loop assumed uniform turns out to need a mask, or a
+    divergent ``return`` needs the kernel-wide live mask,
+    :class:`_Restart` restarts the compile with that fact known up front
+    (facts only accumulate, so this terminates).
     """
 
     def __init__(self, info: KernelInfo, ndrange: NDRange,
                  scalars: dict, buffers: dict, verdict_fn: Callable,
-                 promoted: frozenset):
+                 facts: frozenset):
         self.info = info
         self.ndrange = ndrange
         self.scalars = scalars
         self.buffers = buffers          # name -> np.ndarray
         self._verdict_fn = verdict_fn   # lazy: () -> verdicts dict
-        self.promoted = promoted
+        self.facts = facts
         self.lines: list[str] = []
         self.indent = 1
         self._tmp_n = 0
@@ -456,7 +489,7 @@ class _Compiler:
         self.masked = False
         self.oob_elided_by_verdict = False
         self.verdicts: Optional[dict] = None
-        self.loops: list[tuple[str, int]] = []   # (loop kind, mask depth)
+        self.loops: list[_Loop] = []
         self.reassigned = self._find_reassigned(info.kernel.body)
 
     # -- small helpers -------------------------------------------------------
@@ -549,7 +582,12 @@ class _Compiler:
     def compile(self) -> tuple[str, str]:
         """Return (function name, generated source)."""
         self._bind_params()
-        ctx = _Ctx(mask=None, depth=0)
+        if _LIVE in self.facts:
+            self.masked = True
+            self._emit(f"{_LIVE} = _np.ones(_n, dtype=bool)")
+            ctx = _Ctx(_LIVE, 0, (_LIVE,))
+        else:
+            ctx = _Ctx(None, 0)
         before = len(self.lines)
         self._stmt(self.info.kernel.body, ctx)
         if len(self.lines) == before:
@@ -558,7 +596,7 @@ class _Compiler:
         id_names = [py for (_a, _d, py) in sorted(self.used_ids)]
         buf_names = [self.env[n].py for n in self.info.buffer_params
                      if n in self.buffers]
-        params = ["rt", "_np"] + buf_names + id_names
+        params = ["rt", "_np", "_n"] + buf_names + id_names
         header = [
             f"def {fn_name}({', '.join(params)}):",
         ]
@@ -601,6 +639,8 @@ class _Compiler:
             try:
                 for inner in stmt.body:
                     self._stmt(inner, ctx)
+                    if isinstance(inner, _JUMPS):
+                        break  # the rest of the block is unreachable
             finally:
                 self.env = saved
             return
@@ -617,33 +657,52 @@ class _Compiler:
             self._stmt_for(stmt, ctx)
             return
         if kind is ast.While:
-            self._stmt_while(stmt, ctx)
+            self._loop(_LOOP_WHILE, stmt, ctx)
             return
         if kind is ast.DoWhile:
-            self._stmt_dowhile(stmt, ctx)
+            self._loop(_LOOP_DO, stmt, ctx)
             return
         if kind is ast.Return:
-            if ctx.depth > 0:
-                raise self._fail("return under divergent control flow", stmt)
-            self._emit("return")
+            if ctx.depth == 0:
+                self._emit("return")
+            elif _LIVE not in self.facts:
+                raise _Restart({_LIVE})
+            else:
+                self._retire(ctx, ctx.chain)
             return
-        if kind is ast.Break:
-            if not self.loops:
-                raise self._fail("break outside of a loop", stmt)
-            if ctx.depth != self.loops[-1][1]:
-                raise self._fail("break under divergent control flow", stmt)
-            self._emit("break")
-            return
-        if kind is ast.Continue:
-            if not self.loops:
-                raise self._fail("continue outside of a loop", stmt)
-            loop_kind, loop_depth = self.loops[-1]
-            if loop_kind != _LOOP_WHILE or ctx.depth != loop_depth:
-                raise self._fail(
-                    "continue only supported in uniform while loops", stmt)
-            self._emit("continue")
+        if kind is ast.Break or kind is ast.Continue:
+            self._jump(stmt, ctx)
             return
         raise self._fail(f"unsupported statement {kind.__name__}", stmt)
+
+    def _jump(self, stmt: ast.Stmt, ctx: _Ctx) -> None:
+        """``break``/``continue``: a Python jump out of a uniform loop
+        whose lanes all take it, else clear the lanes from the masks."""
+        word = "break" if type(stmt) is ast.Break else "continue"
+        if not self.loops:
+            raise self._fail(f"{word} outside of a loop", stmt)
+        loop = self.loops[-1]
+        if loop.mask is None:
+            # A for step or a do-while test would be skipped by a Python
+            # continue; those loops, like divergent jumps, run masked.
+            if ctx.depth == loop.depth and \
+                    (word == "break" or loop.kind == _LOOP_WHILE):
+                self._emit(word)
+                return
+            raise _Restart({loop.node_id})
+        first = loop.mask if word == "break" else loop.body
+        self._retire(ctx, ctx.chain[ctx.chain.index(first):])
+
+    def _retire(self, ctx: _Ctx, masks: tuple) -> None:
+        """Clear the lanes of ``ctx.mask`` from each mask in ``masks``.
+
+        Masks are rebound, never updated in place: a mask may alias a
+        branch condition that is still read afterwards.
+        """
+        gone = self._tmp("_x")
+        self._emit(f"{gone} = {ctx.mask}")
+        for mask in masks:
+            self._emit(f"{mask} = {mask} & ~{gone}")
 
     def _stmt_decl(self, stmt: ast.DeclStmt, ctx: _Ctx) -> None:
         for decl in stmt.decls:
@@ -659,9 +718,14 @@ class _Compiler:
                 value = _V("0.0" if kind == "f" else "0", kind, lane=False,
                            const=0.0 if kind == "f" else 0,
                            rng=None if kind == "f" else (0, 0))
-            lane = value.lane or (py in self.promoted)
+            lane = value.lane or (py in self.facts)
             trusted = decl.name not in self.reassigned
-            self._emit(f"{py} = {value.code}")
+            if lane and not value.lane:
+                # A promoted variable is an array from its declaration
+                # on, so lane code never meets a Python scalar.
+                self._emit(f"{py} = _np.full(_n, {value.code})")
+            else:
+                self._emit(f"{py} = {value.code}")
             self.env[decl.name] = _Var(
                 py=py, kind=kind, lane=lane, depth=ctx.depth,
                 rng=value.rng if (trusted and kind == "i") else None,
@@ -721,7 +785,7 @@ class _Compiler:
         else:
             self._emit(f"{then_mask} = {ctx.mask} & {taken}")
         saved = dict(self.env)
-        self._stmt(stmt.then, _Ctx(then_mask, ctx.depth + 1))
+        self._stmt(stmt.then, ctx.sub(then_mask))
         self.env = saved
         if stmt.otherwise is not None:
             else_mask = self._tmp("_m")
@@ -730,17 +794,8 @@ class _Compiler:
             else:
                 self._emit(f"{else_mask} = {ctx.mask} & ~{taken}")
             saved = dict(self.env)
-            self._stmt(stmt.otherwise, _Ctx(else_mask, ctx.depth + 1))
+            self._stmt(stmt.otherwise, ctx.sub(else_mask))
             self.env = saved
-
-    def _loop_cond(self, cond: Optional[ast.Expr], ctx: _Ctx,
-                   node: Any) -> Optional[_CondV]:
-        if cond is None:
-            return None
-        compiled = self._cond(cond, ctx)
-        if compiled.lane:
-            raise self._fail("lane-varying loop condition", node)
-        return compiled
 
     def _static_rng(self, expr: ast.Expr) -> Optional[tuple]:
         """Interval of an expression over loop-invariant integers only."""
@@ -823,71 +878,89 @@ class _Compiler:
                     self._expr_stmt(stmt.init.expr, ctx)
                 else:
                     raise self._fail("unsupported for-loop initializer", stmt)
-            cond = self._loop_cond(stmt.cond, ctx, stmt)
-            # The condition is compiled *before* the counter interval is
-            # installed, so the interval can never prove the loop's own
-            # exit test away.
-            induction = self._induction_range(stmt)
-            if induction is not None:
-                name, rng = induction
-                var = self.env.get(name)
-                if var is not None and var.kind == "i" and not var.lane \
-                        and rng is not None:
-                    self.env[name] = _Var(py=var.py, kind="i", lane=False,
-                                          depth=var.depth, rng=rng)
-            if cond is not None and cond.proof is False:
-                return
-            header = "while True:" if cond is None or cond.proof is True \
-                else f"while {cond.code}:"
-            self._emit(header)
-            self.indent += 1
-            before = len(self.lines)
-            self.loops.append((_LOOP_FOR, ctx.depth))
-            try:
-                self._stmt(stmt.body, ctx)
-                if stmt.step is not None:
-                    self._expr_stmt(stmt.step, ctx)
-                if len(self.lines) == before:
-                    self._emit("pass")
-            finally:
-                self.loops.pop()
-                self.indent -= 1
+            self._loop(_LOOP_FOR, stmt, ctx)
         finally:
             self.env = saved
 
-    def _stmt_while(self, stmt: ast.While, ctx: _Ctx) -> None:
-        cond = self._loop_cond(stmt.cond, ctx, stmt)
-        if cond is not None and cond.proof is False:
-            return
-        header = "while True:" if cond is None or cond.proof is True \
-            else f"while {cond.code}:"
-        self._emit(header)
-        self.loops.append((_LOOP_WHILE, ctx.depth))
-        try:
-            self._suite(stmt.body, ctx)
-        finally:
-            self.loops.pop()
+    def _loop(self, kind: str, stmt: Any, ctx: _Ctx) -> None:
+        """Any loop, as ``while True:`` with the exit test inside.
 
-    def _stmt_dowhile(self, stmt: ast.DoWhile, ctx: _Ctx) -> None:
+        A uniform loop stays a Python loop around whole-array code.  A
+        loop whose lanes leave at different iterations runs masked: the
+        loop mask holds the lanes still iterating, the condition narrows
+        it, ``break`` and ``return`` clear lanes from it, and the loop
+        runs while any lane is left.  The body runs under a copy that
+        ``continue`` also clears, so the step and a do-while test still
+        see the continuing lanes.  Both run one mask level deeper, so
+        assignments to outer variables merge through ``np.where``.
+        """
+        loop = _Loop(kind, ctx.depth, id(stmt))
+        loop_ctx = body_ctx = ctx
+        if loop.node_id in self.facts:
+            self.masked = True
+            loop.mask, loop.body = self._tmp("_lm"), self._tmp("_bm")
+            self._emit(f"{loop.mask} = "
+                       f"{ctx.mask or '_np.ones(_n, dtype=bool)'}")
+            loop_ctx = ctx.sub(loop.mask)
+            body_ctx = _Ctx(loop.body, loop_ctx.depth,
+                            loop_ctx.chain + (loop.body,))
         self._emit("while True:")
         self.indent += 1
         before = len(self.lines)
-        self.loops.append((_LOOP_DO, ctx.depth))
+        self.loops.append(loop)
         try:
-            self._stmt(stmt.body, ctx)
-            cond = self._loop_cond(stmt.cond, ctx, stmt)
-            if cond is None or cond.proof is True:
-                pass  # loop forever, like the oracle would
-            elif cond.proof is False:
-                self._emit("break")
-            else:
-                self._emit(f"if not ({cond.code}):")
-                self._emit("    break")
+            if kind != _LOOP_DO:
+                self._loop_test(loop, stmt, loop_ctx)
+            if kind == _LOOP_FOR and loop.mask is None:
+                self._install_induction(stmt)
+            if loop.mask is not None:
+                self._emit(f"{loop.body} = {loop.mask}")
+            self._stmt(stmt.body, body_ctx)
+            if kind == _LOOP_FOR and stmt.step is not None:
+                self._expr_stmt(stmt.step, loop_ctx)
+            if kind == _LOOP_DO:
+                self._loop_test(loop, stmt, loop_ctx)
             if len(self.lines) == before:
-                self._emit("pass")
+                self._emit("pass")  # loop forever, like the oracle would
         finally:
             self.loops.pop()
             self.indent -= 1
+
+    def _loop_test(self, loop: _Loop, stmt: Any, ctx: _Ctx) -> None:
+        """Leave the loop where ``stmt.cond`` fails: a lane-varying test
+        narrows the loop mask (restarting the compile with the loop
+        masked if it was assumed uniform)."""
+        test = None if stmt.cond is None else self._cond(stmt.cond, ctx)
+        if test is None or test.proof is True:
+            pass
+        elif test.proof is False:
+            self._emit("break")
+        elif not test.lane:
+            self._emit(f"if not ({test.code}):")
+            self._emit("    break")
+        elif loop.mask is None:
+            raise _Restart({loop.node_id})
+        else:
+            self._emit(f"{loop.mask} = {loop.mask} & {test.code}")
+        if loop.mask is not None:
+            self._emit(f"if not {loop.mask}.any():")
+            self._emit("    break")
+
+    def _install_induction(self, stmt: ast.For) -> None:
+        """Give a canonical for loop's counter its interval in the body.
+
+        Called *after* the condition is compiled, so the interval can
+        never prove the loop's own exit test away.
+        """
+        induction = self._induction_range(stmt)
+        if induction is None:
+            return
+        name, rng = induction
+        var = self.env.get(name)
+        if var is not None and var.kind == "i" and not var.lane \
+                and rng is not None:
+            self.env[name] = _Var(py=var.py, kind="i", lane=False,
+                                  depth=var.depth, rng=rng)
 
     # -- assignments ---------------------------------------------------------
 
@@ -935,10 +1008,10 @@ class _Compiler:
     def _assign_var(self, var: _Var, value: _V, ctx: _Ctx) -> None:
         value = self._to_kind(value, var.kind)
         if value.lane and not var.lane:
-            raise _Promote({var.py})
+            raise _Restart({var.py})
         if ctx.depth > var.depth:
             if not var.lane:
-                raise _Promote({var.py})
+                raise _Restart({var.py})
             self._emit(
                 f"{var.py} = _np.where({ctx.mask}, {value.code}, {var.py})")
         else:
@@ -1232,7 +1305,7 @@ class _Compiler:
         if not left.lane:
             # A uniform runtime left with a possibly-lane right needs
             # runtime short-circuit across the uniform/lane boundary;
-            # the vector tier handles that case.
+            # the oracle handles that case.
             right = self._cond(expr.right, ctx)
             if right.lane:
                 raise self._fail(
@@ -1257,7 +1330,7 @@ class _Compiler:
             self._emit(f"{sub} = {lead}")
         else:
             self._emit(f"{sub} = {base} & {lead}")
-        right = self._cond(expr.right, _Ctx(sub, ctx.depth + 1))
+        right = self._cond(expr.right, ctx.sub(sub))
         if right.proof is not None:
             if right.proof == is_and:
                 # && with proven-true right / || with proven-false right:
@@ -1303,8 +1376,8 @@ class _Compiler:
         else:
             self._emit(f"{then_mask} = {ctx.mask} & {taken}")
             self._emit(f"{else_mask} = {ctx.mask} & ~{taken}")
-        then_v = self._expr(expr.then, _Ctx(then_mask, ctx.depth + 1))
-        else_v = self._expr(expr.otherwise, _Ctx(else_mask, ctx.depth + 1))
+        then_v = self._expr(expr.then, ctx.sub(then_mask))
+        else_v = self._expr(expr.otherwise, ctx.sub(else_mask))
         if then_v.kind != else_v.kind:
             raise self._fail("ternary with mixed int/float branch types",
                              expr)
@@ -1366,7 +1439,7 @@ class _Compiler:
 
     def _math_call(self, name: str, expr: ast.Call, ctx: _Ctx) -> _V:
         args = [self._to_kind(self._expr(a, ctx), "f") for a in expr.args]
-        kind = "i" if name in _INT_RESULT_MATH else "f"
+        kind = "i" if name in INT_RESULT_MATH else "f"
         if all(a.const is not None for a in args) and ctx.mask is None:
             try:
                 return self._const_v(MATH_IMPLS[name](
@@ -1408,7 +1481,7 @@ def compile_kernel(info: KernelInfo, args: dict[str, Any],
     """Lower + ``exec``-compile one kernel for one launch (uncached).
 
     Raises :class:`JitUnsupported` when the kernel or launch is outside
-    the JIT subset; the caller should use the vector tier.
+    the JIT subset; the caller should use the scalar oracle.
     """
     scalars, buffers, key = _specialize(info, args, ndrange)
     verdict_state: dict = {}
@@ -1424,14 +1497,14 @@ def compile_kernel(info: KernelInfo, args: dict[str, Any],
             verdict_state["v"] = dict(report.verdicts)
         return verdict_state["v"]
 
-    promoted: frozenset = frozenset()
+    facts: frozenset = frozenset()
     for _ in range(_MAX_RESTARTS):
         compiler = _Compiler(info, ndrange, scalars, buffers, verdicts,
-                             promoted)
+                             facts)
         try:
             fn_name, source = compiler.compile()
-        except _Promote as signal:
-            promoted = promoted | signal.names
+        except _Restart as signal:
+            facts = facts | signal.facts
             continue
         break
     else:  # pragma: no cover - monotone promotion cannot cycle this long
@@ -1529,7 +1602,7 @@ def compile_cached(info: KernelInfo, args: dict[str, Any],
     except JitUnsupported as exc:
         result = JitUnsupported(str(exc), exc.location)
     except Exception as exc:  # defensive: a compiler bug must never
-        # break a launch — degrade to the vector tier instead.
+        # break a launch — degrade to the scalar oracle instead.
         result = JitUnsupported(f"internal jit-compiler error: {exc!r}")
     elapsed = time.perf_counter() - started
     execution_stats.record_jit_compile(name, elapsed)
@@ -1575,14 +1648,13 @@ def jit_cache_stats() -> dict:
 class JitExecutor:
     """Drop-in executor running a :class:`CompiledKernel`.
 
-    Construction builds a :class:`VectorizedExecutor` (which validates
-    arguments exactly like the scalar oracle and doubles as the fallback
-    chain: jit -> vector -> scalar).  ``run`` snapshots the output
-    buffers and executes the compiled program per batch; *any* runtime
-    exception restores the snapshot and re-runs the launch on the vector
-    tier, so even a compiler bug can only cost speed, never correctness
-    — a genuine kernel error is then re-raised by the oracle path with
-    its exact message and partial-store semantics.
+    Construction builds the scalar oracle, which validates the arguments
+    and is the fallback: ``run`` snapshots the output buffers and
+    executes the compiled program per batch; *any* runtime exception
+    restores the snapshot and re-runs the launch on the oracle, so even
+    a compiler bug can only cost speed, never correctness — a genuine
+    kernel error is then re-raised by the oracle with its exact message
+    and partial-store semantics.
     """
 
     def __init__(self, info: KernelInfo, args: dict[str, Any],
@@ -1590,8 +1662,8 @@ class JitExecutor:
         self.info = info
         self.ndrange = ndrange
         self.compiled = compiled
-        self.vector = VectorizedExecutor(info, args, ndrange)
-        self.args = self.vector.args
+        self.scalar = KernelExecutor(info, args, ndrange)
+        self.args = self.scalar.args
         self.used_fallback = False
 
     def run(self, group_ids: Optional[Iterable[tuple[int, ...]]] = None) -> None:
@@ -1613,10 +1685,10 @@ class JitExecutor:
             batch = max(1, MAX_LANES_PER_BATCH // max(1, per_group))
             with np.errstate(all="ignore"):
                 for start in range(0, len(groups), batch):
-                    lanes = _Lanes(self.ndrange, groups[start:start + batch])
+                    lanes = Lanes(self.ndrange, groups[start:start + batch])
                     ids = [getattr(lanes, attr)[dim]
                            for (attr, dim, _py) in ck.id_spec]
-                    ck.fn(_Runtime, np, *buffer_args, *ids)
+                    ck.fn(_Runtime, np, lanes.count, *buffer_args, *ids)
         except Exception as exc:
             for name, saved in snapshot.items():
                 buffers[name][...] = saved
@@ -1629,7 +1701,7 @@ class JitExecutor:
                                kernel=self.info.kernel.name, tier="jit",
                                reason=str(exc))
                 tracer.counter("backend.jit_fallbacks")
-            self.vector.run(groups)
+            self.scalar.run(groups)
             return
         execution_stats.record_run(
             self.info.kernel.name, "jit",

@@ -675,7 +675,7 @@ def execute_kernel(
     memory.  ``group_ids`` restricts execution to a subset of work-groups
     — the primitive Dopia's dynamic scheduler (Algorithm 1) is built on.
     ``backend`` picks the execution strategy
-    (``auto``/``jit``/``vector``/``scalar``, default from
+    (``auto``/``jit``/``scalar``, default from
     ``DOPIA_BACKEND``); see :func:`repro.interp.make_executor`.
     """
     if isinstance(info_or_source, str):
@@ -694,6 +694,6 @@ def execute_kernel(
         info = analyze_kernel(kernel, unit)
     else:
         info = info_or_source
-    from .vectorize import make_executor
+    from .backend import make_executor
 
     make_executor(info, args, ndrange, backend=backend).run(group_ids)

@@ -1,14 +1,14 @@
 """Instrumentation for kernel-execution backend selection.
 
 Mirrors :class:`repro.core.collect.CollectionStats`: a process-global,
-reset-able counter that records which backend (``jit``, ``vector`` or
-``scalar``) executed each kernel, how much work it processed, and how
-long it took — so the speedup of the compiled tiers over the scalar
-oracle is observable from the CLI and from tests.
+reset-able counter that records which backend (``jit`` or ``scalar``)
+executed each kernel, how much work it processed, and how long it took —
+so the speedup of the compiled tier over the scalar oracle is observable
+from the CLI and from tests.
 
-Fallback counters are keyed per ``(kernel, tier)``: a jit-compile
-refusal and a mid-run vectorize reversion are different events with
-different remedies, and ``dopia backends`` reports them separately.
+Fallback counters are keyed per ``(kernel, tier)``, where ``tier`` names
+the backend that declined the work, so ``dopia backends`` can report
+each tier's reversions separately.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class ExecutionStats:
     ``(kernel, backend)``; ``fallbacks`` counts transparent reversions to a
     slower tier, keyed per ``(kernel, tier)`` where ``tier`` names the
     backend that *declined* the work (``"jit"``: compile refusal or
-    runtime guard, ``"vector"``: mid-run reversion to the scalar oracle).
+    runtime guard, both answered by the scalar oracle).
     """
 
     runs: dict[tuple[str, str], _BackendCounter] = field(default_factory=dict)
@@ -77,7 +77,7 @@ class ExecutionStats:
             counter.seconds += seconds
 
     def record_fallback(self, kernel: str, reason: str,
-                        location: object = None, tier: str = "vector") -> None:
+                        location: object = None, tier: str = "jit") -> None:
         key = (kernel, tier)
         with self._lock:
             self.fallbacks[key] = self.fallbacks.get(key, 0) + 1
@@ -121,7 +121,7 @@ class ExecutionStats:
     def fallback_tiers(self, kernel: str) -> list[str]:
         return sorted(t for (name, t) in self.fallbacks if name == kernel)
 
-    def speedup(self, kernel: str, backend: str = "vector") -> float | None:
+    def speedup(self, kernel: str, backend: str = "jit") -> float | None:
         """``backend`` throughput over scalar throughput, when both ran."""
         fast = self.runs.get((kernel, backend))
         scalar = self.runs.get((kernel, "scalar"))
@@ -147,7 +147,7 @@ class ExecutionStats:
             if choice is not None:
                 backend, reason = choice
                 parts.append(f"backend={backend}" + (f" ({reason})" if reason else ""))
-            for backend in ("jit", "vector", "scalar"):
+            for backend in ("jit", "scalar"):
                 counter = self.runs.get((kernel, backend))
                 if counter is None:
                     continue

@@ -13,21 +13,36 @@ import weakref
 
 import numpy as np
 
-from repro.interp import make_executor
+from repro.frontend import analyze_kernel, parse, parse_kernel
+from repro.interp import NDRange, make_executor
 from repro.interp.codegen import _JIT_CACHE, JitUnsupported
-from repro.workloads import SCALED_REAL_FACTORIES
+
+#: A helper-function call is outside the jit subset: every launch of this
+#: kernel declines to the scalar oracle.
+HELPED = """
+float twice(float x) { return 2.0f * x; }
+__kernel void helped(__global float* A)
+{
+    int i = get_global_id(0);
+    A[i] = twice(A[i]);
+}
+"""
+
+
+def helped_info():
+    return analyze_kernel(parse_kernel(HELPED), parse(HELPED))
 
 
 class Marker:
     """Stands for whatever the launching frame holds (buffers, a server)."""
 
 
-def launch_holding_marker(info, workload):
-    """Launch ``workload`` on the jit backend from a frame that holds a
+def launch_holding_marker(info):
+    """Launch ``info`` on the jit backend from a frame that holds a
     marker; returns a weak reference to the marker."""
     marker = Marker()
-    args = workload.full_args(np.random.default_rng(0))
-    make_executor(info, args, workload.ndrange(), backend="jit").run()
+    args = {"A": np.random.default_rng(0).standard_normal(16)}
+    make_executor(info, args, NDRange(16, 4), backend="jit").run()
     return weakref.ref(marker)
 
 
@@ -37,22 +52,19 @@ def cached_errors(info):
 
 
 def test_declined_launches_leave_no_frames_behind():
-    workload = SCALED_REAL_FACTORIES["SpMV"]()
-    info = workload.kernel_info()
-    markers = [launch_holding_marker(info, workload) for _ in range(3)]
+    info = helped_info()
+    markers = [launch_holding_marker(info) for _ in range(3)]
     gc.collect()
     assert [ref() for ref in markers] == [None, None, None]
-    # SpMV's row loop runs to a bound read from a buffer: the compile
-    # declines once and every launch runs on the vector tier.
+    # The compile declines once and every launch runs on the oracle.
     [error] = cached_errors(info)
-    assert "lane-varying loop condition" in str(error)
+    assert "helper function 'twice'" in str(error)
     assert error.__traceback__ is None
 
 
 def test_declined_info_is_collected_with_its_cache_entry():
-    workload = SCALED_REAL_FACTORIES["SpMV"]()
-    info = workload.kernel_info()
-    launch_holding_marker(info, workload)
+    info = helped_info()
+    launch_holding_marker(info)
     ident, ref = id(info), weakref.ref(info)
     assert cached_errors(info)
     del info

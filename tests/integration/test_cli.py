@@ -288,3 +288,27 @@ class TestLintStats:
         diff = diff_baseline(json.dumps(document), current)
         assert diff.regressed == ["GESUMMV/24/wg8: oob: clean -> unknown"]
         assert not diff.clean
+
+
+class TestBackendSelection:
+    @pytest.mark.parametrize("value", ["vector", "bogus"])
+    def test_unknown_env_backend_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("DOPIA_BACKEND", value)
+        assert main(["trace", "GESUMMV"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert f"DOPIA_BACKEND='{value}'" in err[0]
+        assert "auto, jit, scalar" in err[0]
+
+    def test_vector_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--backend", "vector", "trace", "GESUMMV"])
+        assert exc.value.code == 2
+
+    def test_backends_compares_jit_with_scalar(self, capsys):
+        out = run_cli(capsys, "backends", SPMV, "--global-size", "32",
+                      "--local-size", "8", "--arg", "n=32",
+                      "--buffer", "rowptr=33")
+        assert "jit       :" in out and "masked" in out
+        assert "identical : True" in out
+        assert "vector" not in out

@@ -1,9 +1,9 @@
-"""Unit tests for the vectorized backend's machinery.
+"""Unit tests for backend selection and the jit tier's oracle parity.
 
 The end-to-end bit-identity evidence lives in ``test_differential``;
 this file pins down the pieces: the eligibility pass, backend
-resolution, the transparent runtime fallback, and the execution-stats
-counters.
+resolution, the transparent runtime fallback to the oracle, and the
+execution-stats counters.
 """
 
 import numpy as np
@@ -11,15 +11,16 @@ import pytest
 
 from repro.frontend import analyze_kernel, parse
 from repro.interp import (
+    JitExecutor,
     KernelExecutor,
+    KernelRuntimeError,
     NDRange,
-    VectorizedExecutor,
     check_vectorizable,
+    compile_cached,
     execution_stats,
     make_executor,
     resolve_backend,
 )
-from repro.interp import vectorize
 from repro.interp.stats import ExecutionStats
 
 SAXPY = """
@@ -86,42 +87,32 @@ class TestBackendResolution:
 
     def test_explicit_beats_environment(self, monkeypatch):
         monkeypatch.setenv("DOPIA_BACKEND", "scalar")
-        assert resolve_backend("vector") == "vector"
+        assert resolve_backend("jit") == "jit"
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("name", ["simd", "vector"])
+    def test_unknown_backend_rejected(self, name):
         with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("simd")
+            resolve_backend(name)
 
     def test_scalar_forced(self):
         executor = make_executor(info_of(SAXPY), saxpy_args(), NDRange(128, 32),
                                  backend="scalar")
         assert isinstance(executor, KernelExecutor)
 
-    def test_vector_for_eligible(self):
-        executor = make_executor(info_of(SAXPY), saxpy_args(), NDRange(128, 32),
-                                 backend="vector")
-        assert isinstance(executor, VectorizedExecutor)
-
     @pytest.mark.parametrize("n", [1, 16, 17])
     def test_auto_compiles_any_launch_size(self, n):
         # The tier follows the kernel, not the launch size: a launch of a
         # few work-items can still run a deep loop nest per item.
-        from repro.interp import JitExecutor
-
         executor = make_executor(info_of(SAXPY), saxpy_args(n), NDRange(n, 1),
                                  backend="auto")
         assert isinstance(executor, JitExecutor)
 
     def test_jit_backend_for_eligible(self):
-        from repro.interp import JitExecutor
-
         executor = make_executor(info_of(SAXPY), saxpy_args(), NDRange(128, 32),
                                  backend="jit")
         assert isinstance(executor, JitExecutor)
 
-    def test_jit_declines_to_vector(self):
-        # A lane-varying loop bound is outside the JIT subset but fine
-        # for the masked interpreter: jit must hand over, not fail.
+    def test_lane_varying_loop_compiles(self):
         source = """
         __kernel void lanes(__global float* A)
         {
@@ -131,97 +122,119 @@ class TestBackendResolution:
             A[i] = acc;
         }
         """
+        executor = make_executor(info_of(source), {"A": np.zeros(128)},
+                                 NDRange(128, 32), backend="jit")
+        assert isinstance(executor, JitExecutor)
+        assert executor.compiled.masked
+
+    def test_jit_declines_to_scalar(self):
+        # Helper-function calls are outside the jit subset: the launch
+        # runs on the oracle, and the decline says why and where.
+        source = (
+            "float twice(float x) { return 2.0f * x; }\n"
+            "__kernel void helped(__global float* A)\n"
+            "{\n"
+            "    int i = get_global_id(0);\n"
+            "    A[i] = twice(A[i]);\n"
+            "}\n"
+        )
         execution_stats.reset()
         try:
             executor = make_executor(
-                info_of(source), {"A": np.zeros(128)}, NDRange(128, 32),
+                info_of(source), {"A": np.ones(128)}, NDRange(128, 32),
                 backend="jit")
-            assert isinstance(executor, VectorizedExecutor)
-            assert execution_stats.backend_for("lanes") == "vector"
-            assert execution_stats.fallback_count("lanes", tier="jit") == 1
-            assert execution_stats.fallback_count("lanes", tier="vector") == 0
+            assert isinstance(executor, KernelExecutor)
+            assert execution_stats.backend_for("helped") == "scalar"
+            assert execution_stats.fallback_count("helped", tier="jit") == 1
+            reason = execution_stats.fallback_reasons[("helped", "jit")]
+            assert "helper function 'twice'" in reason
+            assert execution_stats.fallback_locations[("helped", "jit")] \
+                .startswith("5:")
         finally:
             execution_stats.reset()
 
-    def test_ineligible_runs_scalar_under_vector(self):
+    def test_ineligible_runs_scalar_under_jit(self):
         source = ("__kernel void f(__global int* C)"
                   "{ atomic_inc(&C[0]); }")
         executor = make_executor(info_of(source), {"C": np.zeros(1, np.int64)},
-                                 NDRange(128, 32), backend="vector")
+                                 NDRange(128, 32), backend="jit")
         assert isinstance(executor, KernelExecutor)
 
 
 class TestRuntimeFallback:
-    def test_fallback_restores_buffers_and_reruns_scalar(self, monkeypatch):
-        """A mid-batch bail-out must leave no trace of partial stores."""
-        real_run = vectorize._BatchRun.run
-        tripped = {"count": 0}
-
-        def sabotaged(self):
-            if tripped["count"] == 0:
-                tripped["count"] += 1
-                # Mutate an output first so the snapshot restore is load-
-                # bearing, then bail as an unsupported construct would.
-                self.env["Y"][...] = -1.0
-                raise vectorize.VectorizeFallback("synthetic trip")
-            return real_run(self)
-
-        monkeypatch.setattr(vectorize._BatchRun, "run", sabotaged)
+    def test_fallback_restores_buffers_and_reruns_scalar(self):
+        """A mid-run bail-out must leave no trace of partial stores."""
+        info = info_of(SAXPY)
         args = saxpy_args()
         expected = args["a"] * args["X"] + args["Y"]
-        executor = VectorizedExecutor(info_of(SAXPY), args, NDRange(128, 32))
+        compiled = compile_cached(info, args, NDRange(128, 32))
+        executor = JitExecutor(info, args, NDRange(128, 32), compiled)
+
+        def sabotaged(rt, np_, n, X, Y, *ids):
+            # Mutate an output first so the snapshot restore is load-
+            # bearing, then bail as a tripped runtime guard would.
+            Y[...] = -1.0
+            raise rt.JitRuntimeGuard("synthetic trip")
+
+        executor.compiled = type(compiled)(**{**compiled.__dict__,
+                                              "fn": sabotaged})
         execution_stats.reset()
         try:
             executor.run()
             assert executor.used_fallback
-            assert execution_stats.fallbacks.get(("saxpy", "vector")) == 1
+            assert execution_stats.fallbacks.get(("saxpy", "jit")) == 1
+            assert ("saxpy", "scalar") in execution_stats.runs
         finally:
             execution_stats.reset()
         np.testing.assert_array_equal(args["Y"], expected)
 
     def test_genuine_kernel_error_propagates(self):
-        """Out-of-bounds is a kernel bug, not a vectorization gap — it must
-        surface identically instead of silently retrying on the oracle."""
+        """Out-of-bounds is a kernel bug, not a jit gap — the oracle re-run
+        must surface it identically instead of swallowing it."""
         source = ("__kernel void f(__global float* A)"
                   "{ A[get_global_id(0) + 1] = 1.0f; }")
-        from repro.interp import KernelRuntimeError
-
-        executor = VectorizedExecutor(info_of(source), {"A": np.zeros(4)},
-                                      NDRange(4, 4))
-        with pytest.raises(KernelRuntimeError):
+        executor = make_executor(info_of(source), {"A": np.zeros(4)},
+                                 NDRange(4, 4), backend="jit")
+        assert isinstance(executor, JitExecutor)
+        with pytest.raises(KernelRuntimeError, match="out-of-bounds"):
             executor.run()
-        assert not executor.used_fallback
+        assert executor.used_fallback
 
 
 def run_on_both_backends(source, make_args, ndrange):
-    """Run a kernel on both backends; return (vector_args, scalar_args,
-    vector_exc, scalar_exc, vector_executor) for parity assertions."""
+    """Run a kernel on the oracle and on the jit entry point; return
+    (jit_args, scalar_args, jit_exc, scalar_exc, jit_executor) for
+    parity assertions."""
     unit = parse(source)
     info = analyze_kernel(unit.kernels()[0], unit)
-    vec_args, ref_args = make_args(), make_args()
-    scalar_exc = vector_exc = None
+    jit_args, ref_args = make_args(), make_args()
+    scalar_exc = jit_exc = None
     try:
         KernelExecutor(info, ref_args, ndrange).run()
     except Exception as exc:  # noqa: BLE001 - parity includes the crash
         scalar_exc = exc
-    executor = VectorizedExecutor(info, vec_args, ndrange)
+    executor = make_executor(info, jit_args, ndrange, backend="jit")
     try:
         executor.run()
     except Exception as exc:  # noqa: BLE001
-        vector_exc = exc
-    return vec_args, ref_args, vector_exc, scalar_exc, executor
+        jit_exc = exc
+    return jit_args, ref_args, jit_exc, scalar_exc, executor
+
+
+def stayed_on_jit(executor):
+    return isinstance(executor, JitExecutor) and not executor.used_fallback
 
 
 class TestOracleParity:
-    """Regression tests for divergences between the backends (REVIEW fixes):
-    each case must match the scalar oracle bit-for-bit, including which
-    exception is raised and the buffer state left behind by a crash."""
+    """Regression tests for divergences between the backends: each case
+    must match the scalar oracle bit-for-bit, including which exception
+    is raised and the buffer state left behind by a crash."""
 
     N = 128
 
     def test_masked_lanes_never_evaluate_math(self):
         """log() under a guard must not raise for the guarded-out lanes —
-        and the kernel must stay on the vector path, not fall back."""
+        and the kernel must stay on the jit, not fall back."""
         source = """
         __kernel void guarded_log(__global float* A, __global float* out)
         {
@@ -231,11 +244,11 @@ class TestOracleParity:
         }
         """
         make = lambda: {"A": np.linspace(-2, 2, self.N), "out": np.zeros(self.N)}
-        vec, ref, vexc, sexc, executor = run_on_both_backends(
+        jit, ref, jexc, sexc, executor = run_on_both_backends(
             source, make, NDRange(self.N, 32))
-        assert vexc is None and sexc is None
-        assert not executor.used_fallback
-        np.testing.assert_array_equal(vec["out"], ref["out"])
+        assert jexc is None and sexc is None
+        assert stayed_on_jit(executor)
+        np.testing.assert_array_equal(jit["out"], ref["out"])
 
     def test_masked_lanes_never_overflow_exp(self):
         source = """
@@ -248,11 +261,11 @@ class TestOracleParity:
         """
         huge = np.where(np.arange(self.N) % 2 == 0, 1.5, 800.0)
         make = lambda: {"A": huge.copy(), "out": np.zeros(self.N)}
-        vec, ref, vexc, sexc, executor = run_on_both_backends(
+        jit, ref, jexc, sexc, executor = run_on_both_backends(
             source, make, NDRange(self.N, 32))
-        assert vexc is None and sexc is None
-        assert not executor.used_fallback
-        np.testing.assert_array_equal(vec["out"], ref["out"])
+        assert jexc is None and sexc is None
+        assert stayed_on_jit(executor)
+        np.testing.assert_array_equal(jit["out"], ref["out"])
 
     def test_active_lane_domain_error_matches_oracle(self):
         """An *unguarded* log of a negative is a kernel bug: both backends
@@ -265,10 +278,11 @@ class TestOracleParity:
         }
         """
         make = lambda: {"A": np.linspace(-2, 2, self.N), "out": np.zeros(self.N)}
-        vec, ref, vexc, sexc, _ = run_on_both_backends(
+        jit, ref, jexc, sexc, executor = run_on_both_backends(
             source, make, NDRange(self.N, 32))
-        assert type(vexc) is type(sexc) is ValueError
-        np.testing.assert_array_equal(vec["out"], ref["out"])
+        assert type(jexc) is type(sexc) is ValueError
+        assert executor.used_fallback
+        np.testing.assert_array_equal(jit["out"], ref["out"])
 
     def test_native_math_domain_error_matches_oracle(self):
         """np.sqrt would silently yield NaN where math.sqrt raises."""
@@ -280,14 +294,16 @@ class TestOracleParity:
         }
         """
         make = lambda: {"A": np.linspace(-2, 2, self.N), "out": np.zeros(self.N)}
-        vec, ref, vexc, sexc, _ = run_on_both_backends(
+        jit, ref, jexc, sexc, executor = run_on_both_backends(
             source, make, NDRange(self.N, 32))
-        assert type(vexc) is type(sexc) is ValueError
-        np.testing.assert_array_equal(vec["out"], ref["out"])
+        assert type(jexc) is type(sexc) is ValueError
+        assert executor.used_fallback
+        np.testing.assert_array_equal(jit["out"], ref["out"])
 
     def test_mixed_type_ternary_matches_oracle(self):
         """np.where would promote the int branch to float64; the oracle
-        divides the int lanes with C truncation instead."""
+        divides the int lanes with C truncation instead, so the jit
+        declines the kernel."""
         source = """
         __kernel void tern(__global int* A, __global float* out)
         {
@@ -297,11 +313,11 @@ class TestOracleParity:
         """
         flip = np.array([1, -1] * (self.N // 2), np.int64)
         make = lambda: {"A": flip.copy(), "out": np.zeros(self.N)}
-        vec, ref, vexc, sexc, executor = run_on_both_backends(
+        jit, ref, jexc, sexc, executor = run_on_both_backends(
             source, make, NDRange(self.N, 32))
-        assert vexc is None and sexc is None
-        assert executor.used_fallback
-        np.testing.assert_array_equal(vec["out"], ref["out"])
+        assert jexc is None and sexc is None
+        assert isinstance(executor, KernelExecutor)
+        np.testing.assert_array_equal(jit["out"], ref["out"])
 
     def test_divergent_unbound_read_matches_oracle(self):
         """Reading a variable only bound in the *other* branch is a kernel
@@ -314,16 +330,14 @@ class TestOracleParity:
             else { out[i] = t; }
         }
         """
-        from repro.interp import KernelRuntimeError
-
         make = lambda: {"A": np.linspace(-2, 2, self.N), "out": np.zeros(self.N)}
-        vec, ref, vexc, sexc, _ = run_on_both_backends(
+        jit, ref, jexc, sexc, _ = run_on_both_backends(
             source, make, NDRange(self.N, 32))
-        assert type(vexc) is type(sexc) is KernelRuntimeError
-        assert "unbound identifier" in str(vexc)
-        np.testing.assert_array_equal(vec["out"], ref["out"])
+        assert type(jexc) is type(sexc) is KernelRuntimeError
+        assert "unbound identifier" in str(jexc)
+        np.testing.assert_array_equal(jit["out"], ref["out"])
 
-    def test_divergent_decl_stays_vectorized(self):
+    def test_divergent_decl_stays_on_jit(self):
         """The bread-and-butter guard pattern must not pay the fallback."""
         source = """
         __kernel void guarded(__global float* A, __global float* out, int n)
@@ -334,11 +348,11 @@ class TestOracleParity:
         """
         make = lambda: {"A": np.linspace(-2, 2, self.N),
                         "out": np.zeros(self.N), "n": self.N - 28}
-        vec, ref, vexc, sexc, executor = run_on_both_backends(
+        jit, ref, jexc, sexc, executor = run_on_both_backends(
             source, make, NDRange(self.N, 32))
-        assert vexc is None and sexc is None
-        assert not executor.used_fallback
-        np.testing.assert_array_equal(vec["out"], ref["out"])
+        assert jexc is None and sexc is None
+        assert stayed_on_jit(executor)
+        np.testing.assert_array_equal(jit["out"], ref["out"])
 
     def test_oversized_shift_matches_oracle(self):
         """Shifts >= 64 are undefined for int64 lanes; the oracle computes
@@ -353,10 +367,11 @@ class TestOracleParity:
         """
         make = lambda: {"A": np.arange(self.N, dtype=np.int64) % 8,
                         "out": np.zeros(self.N, np.int64)}
-        vec, ref, vexc, sexc, executor = run_on_both_backends(
+        jit, ref, jexc, sexc, executor = run_on_both_backends(
             source, make, NDRange(self.N, 32))
-        assert type(vexc) is type(sexc)
-        np.testing.assert_array_equal(vec["out"], ref["out"])
+        assert type(jexc) is type(sexc)
+        assert executor.used_fallback
+        np.testing.assert_array_equal(jit["out"], ref["out"])
 
     def test_uniform_math_domain_error_matches_oracle(self):
         """Domain errors on a *uniform* (non-array) argument also revert."""
@@ -368,14 +383,15 @@ class TestOracleParity:
         }
         """
         make = lambda: {"out": np.zeros(self.N), "v": 1.0}
-        vec, ref, vexc, sexc, _ = run_on_both_backends(
+        jit, ref, jexc, sexc, executor = run_on_both_backends(
             source, make, NDRange(self.N, 32))
-        assert type(vexc) is type(sexc) is ValueError
-        np.testing.assert_array_equal(vec["out"], ref["out"])
+        assert type(jexc) is type(sexc) is ValueError
+        assert executor.used_fallback
+        np.testing.assert_array_equal(jit["out"], ref["out"])
 
     def test_mixed_type_helper_returns_match_oracle(self):
-        """Divergent returns of different kinds would float-promote the int
-        lanes under np.where; the oracle keeps each lane's own type."""
+        """Helper functions run on the oracle, divergent mixed-kind
+        returns included."""
         source = """
         float pick(float x) { if (x > 0.0f) return 3; return 0.5f; }
         __kernel void ret(__global float* A, __global float* out)
@@ -385,13 +401,13 @@ class TestOracleParity:
         }
         """
         make = lambda: {"A": np.linspace(-2, 2, self.N), "out": np.zeros(self.N)}
-        vec, ref, vexc, sexc, executor = run_on_both_backends(
+        jit, ref, jexc, sexc, executor = run_on_both_backends(
             source, make, NDRange(self.N, 32))
-        assert vexc is None and sexc is None
-        assert executor.used_fallback
-        np.testing.assert_array_equal(vec["out"], ref["out"])
+        assert jexc is None and sexc is None
+        assert isinstance(executor, KernelExecutor)
+        np.testing.assert_array_equal(jit["out"], ref["out"])
 
-    def test_in_range_shift_stays_vectorized(self):
+    def test_in_range_shift_stays_on_jit(self):
         source = """
         __kernel void shifty2(__global int* A, __global int* out)
         {
@@ -401,49 +417,49 @@ class TestOracleParity:
         """
         make = lambda: {"A": np.arange(self.N, dtype=np.int64),
                         "out": np.zeros(self.N, np.int64)}
-        vec, ref, vexc, sexc, executor = run_on_both_backends(
+        jit, ref, jexc, sexc, executor = run_on_both_backends(
             source, make, NDRange(self.N, 32))
-        assert vexc is None and sexc is None
-        assert not executor.used_fallback
-        np.testing.assert_array_equal(vec["out"], ref["out"])
+        assert jexc is None and sexc is None
+        assert stayed_on_jit(executor)
+        np.testing.assert_array_equal(jit["out"], ref["out"])
 
 
 class TestExecutionStats:
     def test_run_records_and_speedup(self):
         stats = ExecutionStats()
-        stats.record_choice("k", "vector", "eligible")
+        stats.record_choice("k", "jit", "compiled")
         stats.record_run("k", "scalar", 1000, 2.0)
-        stats.record_run("k", "vector", 1000, 0.1)
-        assert stats.backend_for("k") == "vector"
+        stats.record_run("k", "jit", 1000, 0.1)
+        assert stats.backend_for("k") == "jit"
         assert stats.speedup("k") == pytest.approx(20.0)
         assert stats.total_calls() == 2
 
     def test_speedup_needs_both_backends(self):
         stats = ExecutionStats()
-        stats.record_run("k", "vector", 100, 0.5)
+        stats.record_run("k", "jit", 100, 0.5)
         assert stats.speedup("k") is None
 
     def test_summary_mentions_kernels_and_fallbacks(self):
         stats = ExecutionStats()
-        stats.record_choice("k", "vector", "eligible")
-        stats.record_run("k", "vector", 100, 0.5)
+        stats.record_choice("k", "jit", "compiled")
+        stats.record_run("k", "jit", 100, 0.5)
         stats.record_fallback("k", "synthetic trip")
         text = stats.summary()
-        assert "k" in text and "vector" in text
+        assert "k" in text and "jit-fallbacks=1" in text
 
     def test_global_stats_capture_launches(self):
         execution_stats.reset()
         try:
             make_executor(info_of(SAXPY), saxpy_args(), NDRange(128, 32),
-                          backend="vector").run()
-            assert execution_stats.backend_for("saxpy") == "vector"
+                          backend="jit").run()
+            assert execution_stats.backend_for("saxpy") == "jit"
             assert execution_stats.total_calls() == 1
         finally:
             execution_stats.reset()
 
     def test_reset_clears_everything(self):
         stats = ExecutionStats()
-        stats.record_run("k", "vector", 100, 0.5)
+        stats.record_run("k", "jit", 100, 0.5)
         stats.record_fallback("k", "why")
         stats.reset()
         assert stats.total_calls() == 0

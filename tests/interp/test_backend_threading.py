@@ -1,4 +1,4 @@
-"""Regression: the vector-eligibility memo is computed once under races.
+"""Regression: the lane-eligibility memo is computed once under races.
 
 Before the serving layer, ``check_vectorizable`` memoized with a plain
 read-then-write on the :class:`KernelInfo`; two threads first-touching
@@ -10,7 +10,7 @@ exactly one walk with every caller seeing the same object.
 import threading
 
 from repro.frontend import analyze_kernel, parse_kernel
-from repro.interp import vectorize
+from repro.interp import backend
 
 SRC = (
     "__kernel void axpy(__global float* y, __global const float* x, float a)"
@@ -22,7 +22,7 @@ def test_concurrent_first_touch_walks_once(monkeypatch):
     info = analyze_kernel(parse_kernel(SRC))
     walks = []
     walk_lock = threading.Lock()
-    real_walk = vectorize._check_vectorizable
+    real_walk = backend._check_vectorizable
     started = threading.Barrier(8)
 
     def counting_walk(target):
@@ -30,14 +30,14 @@ def test_concurrent_first_touch_walks_once(monkeypatch):
             walks.append(threading.get_ident())
         return real_walk(target)
 
-    monkeypatch.setattr(vectorize, "_check_vectorizable", counting_walk)
+    monkeypatch.setattr(backend, "_check_vectorizable", counting_walk)
 
     results = []
     results_lock = threading.Lock()
 
     def first_touch():
         started.wait()  # maximise the overlap on the cold memo
-        eligibility = vectorize.check_vectorizable(info)
+        eligibility = backend.check_vectorizable(info)
         with results_lock:
             results.append(eligibility)
 
@@ -55,10 +55,10 @@ def test_concurrent_first_touch_walks_once(monkeypatch):
 
 def test_memo_hit_skips_lock_and_walk(monkeypatch):
     info = analyze_kernel(parse_kernel(SRC))
-    first = vectorize.check_vectorizable(info)
+    first = backend.check_vectorizable(info)
 
     def exploding_walk(target):
         raise AssertionError("memoized path must not re-walk")
 
-    monkeypatch.setattr(vectorize, "_check_vectorizable", exploding_walk)
-    assert vectorize.check_vectorizable(info) is first
+    monkeypatch.setattr(backend, "_check_vectorizable", exploding_walk)
+    assert backend.check_vectorizable(info) is first

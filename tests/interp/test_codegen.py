@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frontend import analyze_kernel, parse_kernel
+from repro.frontend import analyze_kernel, parse, parse_kernel
 from repro.interp import (
     JitExecutor,
     JitUnsupported,
@@ -48,7 +48,7 @@ __kernel void saxpy(__global float* X, __global float* Y, float a, int n)
 
 
 def _info(source=SAXPY):
-    return analyze_kernel(parse_kernel(source))
+    return analyze_kernel(parse_kernel(source), parse(source))
 
 
 def _args(n, a=2.0, rng=0):
@@ -121,12 +121,11 @@ class TestProgramCache:
 
     def test_negative_results_are_cached(self):
         info = _info("""
+            float one(float x) { return x + 1.0f; }
             __kernel void irr(__global float* X, __global int* rows, int n)
             {
                 int i = get_global_id(0);
-                float acc = 0.0f;
-                for (int j = 0; j < rows[i]; j++) acc = acc + 1.0f;
-                if (i < n) X[i] = acc;
+                if (i < n) X[i] = one(X[i]);
             }
         """)
         args = {"X": np.zeros(32), "rows": np.full(32, 3, dtype=np.int64),
@@ -259,9 +258,9 @@ class TestTable2Family:
 
 
 class TestExecutorFallback:
-    def test_runtime_guard_reverts_to_vector_transparently(self):
+    def test_runtime_guard_reverts_to_scalar_transparently(self):
         """A compiled program that trips a runtime guard must rerun on
-        the vector tier with the pre-run buffer contents restored."""
+        the scalar oracle with the pre-run buffer contents restored."""
         info = _info()
         args = _args(64)
         ndrange = NDRange(64, 16)

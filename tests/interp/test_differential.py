@@ -1,15 +1,16 @@
-"""Differential testing: the compiled backends against the scalar oracle.
+"""Differential testing: the jit tier against the scalar oracle.
 
-The scalar interpreter is the semantic ground truth; the batched NumPy
-backend and the jit trace-compiler must produce **bit-identical**
-buffers for every kernel they accept.  This suite drives all three
-backends over
+The scalar interpreter is the semantic ground truth; the jit
+trace-compiler must produce **bit-identical** buffers for every kernel
+it accepts.  This suite drives both backends over
 
 * the 14 real-world registry kernels (Table 4), scaled down,
 * their malleable-transformed variants at several throttle settings
   (which exercise the transparent scalar fallback — the worklist
   transform introduces barriers and atomics),
-* a sweep of Table-2 synthetic kernels over pattern/dim/dtype axes, and
+* a sweep of Table-2 synthetic kernels over pattern/dim/dtype axes,
+* masked loops: data-dependent trip counts, nested lane-varying loops,
+  divergent ``break``/``continue`` and early ``return``, and
 * hypothesis-generated random launch geometries and kernel parameters,
 
 comparing raw buffer bytes after each pair of runs.  The broad sweeps
@@ -25,8 +26,11 @@ from hypothesis import strategies as st
 from repro.core.scheduler import run_dynamic
 from repro.frontend import analyze_kernel, parse_kernel
 from repro.interp import (
+    JitExecutor,
+    KernelExecutor,
     NDRange,
     check_vectorizable,
+    compile_kernel,
     execute_kernel,
     execution_stats,
     make_executor,
@@ -34,8 +38,10 @@ from repro.interp import (
 from repro.sim import DopSetting
 from repro.transform import ALLOC_PARAM, MOD_PARAM, make_malleable
 from repro.workloads import (
+    PAGERANK_SRC,
     REAL_WORKLOAD_FACTORIES,
     SCALED_REAL_FACTORIES,
+    SPMV_SRC,
     TABLE4_PATTERNS,
     SyntheticSpec,
     make_synthetic,
@@ -53,38 +59,34 @@ def _copy_args(args):
     }
 
 
-def assert_bit_identical(source, args, ndrange, kernel_name=None,
-                         backends=("vector", "jit")):
-    """Run ``source`` under the scalar oracle and each of ``backends`` and
+def assert_bit_identical(source, args, ndrange, kernel_name=None):
+    """Run ``source`` under the scalar oracle and the jit entry point and
     compare buffer bytes.
 
-    The jit leg goes through the ``jit`` entry point, which compiles the
-    kernel when eligible and transparently runs the vector tier when the
-    compile declines — either way the bytes must match the oracle.
+    The jit entry point compiles the kernel when eligible and
+    transparently runs the oracle when the compile declines — either way
+    the bytes must match the oracle.
     """
     scalar_args = _copy_args(args)
     execute_kernel(source, scalar_args, ndrange,
                    kernel_name=kernel_name, backend="scalar")
-    compiled_args = {}
-    for backend in backends:
-        compiled_args[backend] = _copy_args(args)
-        execute_kernel(source, compiled_args[backend], ndrange,
-                       kernel_name=kernel_name, backend=backend)
+    jit_args = _copy_args(args)
+    execute_kernel(source, jit_args, ndrange,
+                   kernel_name=kernel_name, backend="jit")
     for name, value in scalar_args.items():
         if not isinstance(value, np.ndarray):
             continue
-        for backend, candidate in compiled_args.items():
-            assert value.dtype == candidate[name].dtype, (backend, name)
-            assert value.tobytes() == candidate[name].tobytes(), (
-                f"buffer {name!r} differs between scalar and {backend}"
-            )
-    return scalar_args, compiled_args[backends[0]]
+        assert value.dtype == jit_args[name].dtype, name
+        assert value.tobytes() == jit_args[name].tobytes(), (
+            f"buffer {name!r} differs between scalar and jit"
+        )
+    return scalar_args, jit_args
 
 
-def assert_workload_bit_identical(workload, rng=0, backends=("vector", "jit")):
+def assert_workload_bit_identical(workload, rng=0):
     return assert_bit_identical(
         workload.source, workload.full_args(rng), workload.ndrange(),
-        kernel_name=workload.kernel_name, backends=backends,
+        kernel_name=workload.kernel_name,
     )
 
 
@@ -107,17 +109,23 @@ class TestRealKernels:
     def test_bit_identical_across_seeds(self, name, seed):
         assert_workload_bit_identical(SCALED_REAL[name](), rng=seed)
 
-    def test_fast_backends_were_actually_used(self):
-        """The differential helper must exercise real compiled paths: the
-        jit leg ends on the jit tier (no silent decline to vector), and
-        no leg falls back mid-run."""
+    @pytest.mark.parametrize("name", list(SCALED_REAL))
+    def test_registry_kernel_compiles(self, name):
+        workload = SCALED_REAL[name]()
+        compile_kernel(workload.kernel_info(), workload.full_args(0),
+                       workload.ndrange())
+
+    @pytest.mark.parametrize("name", ["GESUMMV", "SpMV", "PageRank"])
+    def test_jit_was_actually_used(self, name):
+        """The differential helper must exercise the compiled path: the
+        jit leg ends on the jit tier (no silent decline to the oracle),
+        and nothing falls back mid-run."""
+        workload = SCALED_REAL[name]()
         execution_stats.reset()
         try:
-            assert_workload_bit_identical(SCALED_REAL["GESUMMV"]())
-            # the jit leg ran last, so the most recent choice is jit
-            assert execution_stats.backend_for("gesummv") == "jit"
-            assert ("gesummv", "vector") in execution_stats.runs
-            assert ("gesummv", "jit") in execution_stats.runs
+            assert_workload_bit_identical(workload)
+            assert execution_stats.backend_for(workload.kernel_name) == "jit"
+            assert (workload.kernel_name, "jit") in execution_stats.runs
             assert not execution_stats.fallbacks
         finally:
             execution_stats.reset()
@@ -139,11 +147,12 @@ def _malleable_args(workload, malleable, mod, alloc, rng=0):
 
 
 def check_malleable(name, mod, alloc):
-    """Transformed kernel, both backends, against the untouched original.
+    """Transformed kernel, every backend name, against the untouched
+    original.
 
     The worklist transform adds a barrier and an atomic counter, so the
-    jit compiler and the vectorizer must both *decline* it and fall back
-    to the scalar interpreter — transparently, with identical results.
+    jit must *decline* it and fall back to the scalar interpreter —
+    transparently, with identical results.
     """
     workload = SCALED_REAL[name]()
     malleable = make_malleable(workload.source, work_dim=workload.work_dim,
@@ -155,7 +164,7 @@ def check_malleable(name, mod, alloc):
     execute_kernel(workload.source, baseline, workload.ndrange(),
                    kernel_name=workload.kernel_name, backend="scalar")
 
-    for backend in ("scalar", "vector", "jit", "auto"):
+    for backend in ("scalar", "jit", "auto"):
         args = _copy_args(workload.full_args(rng=0))
         args[MOD_PARAM] = mod
         args[ALLOC_PARAM] = alloc
@@ -219,7 +228,7 @@ def _early_return_args(work_dim, global_size):
 class TestEarlyReturnThrottleGrid:
     @pytest.mark.parametrize("name", list(EARLY_RETURN))
     @pytest.mark.parametrize("mod,alloc", THROTTLES + [(2, 1), (8, 1)])
-    @pytest.mark.parametrize("backend", ["scalar", "vector", "jit"])
+    @pytest.mark.parametrize("backend", ["scalar", "jit"])
     def test_throttled_matches_original(self, name, mod, alloc, backend):
         source, work_dim, global_size, local_size = EARLY_RETURN[name]
         ndrange = NDRange(global_size, local_size)
@@ -300,7 +309,7 @@ class TestBuildColdGeometry:
     def test_table2_slot(self, pattern, dim):
         spec = SyntheticSpec.from_pattern(pattern, dim=dim)
         workload = make_synthetic(spec, size=16, wg_items=16)
-        assert_workload_bit_identical(workload, backends=("jit",))
+        assert_workload_bit_identical(workload)
         assert execution_stats.backend_for(workload.kernel_name) == "jit"
 
     @pytest.mark.parametrize("n", [1, 17])
@@ -309,8 +318,215 @@ class TestBuildColdGeometry:
         args = {"X": rng.standard_normal(n).astype(np.float32),
                 "Y": rng.standard_normal(n).astype(np.float32),
                 "a": 1.5, "n": n}
-        assert_bit_identical(SAXPY_SRC, args, NDRange(n, 1),
-                             backends=("jit",))
+        assert_bit_identical(SAXPY_SRC, args, NDRange(n, 1))
+
+
+# -- masked loops: lane-varying trip counts, divergent jumps ------------------
+
+def _csr_args(n, rng, padded):
+    """CSR buffers with ragged rows, every third row empty."""
+    counts = rng.integers(1, 6, size=n)
+    counts[::3] = 0
+    rowptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=rowptr[1:])
+    nnz = int(rowptr[-1])
+    return {
+        "rowptr": rowptr,
+        "colidx": rng.integers(0, n, size=max(nnz, 1)),
+        "vals": rng.uniform(-1.0, 1.0, size=max(nnz, 1)),
+        "x": rng.uniform(-1.0, 1.0, size=n),
+        "y": np.zeros(padded),
+        "n": n,
+    }
+
+
+def _pagerank_args(n, rng, padded):
+    csr = _csr_args(n, rng, padded)
+    return {
+        "rowptr": csr["rowptr"], "colidx": csr["colidx"],
+        "rank": rng.uniform(0.0, 1.0, size=n),
+        "new_rank": np.zeros(padded),
+        "inv_outdeg": rng.uniform(0.1, 1.0, size=n),
+        "damping": 0.85, "n": n,
+    }
+
+
+NESTED_SRC = """
+__kernel void nested(__global int* counts, __global float* out, int n)
+{
+    int i = get_global_id(0);
+    if (i < n) {
+        float acc = 0.0f;
+        for (int a = 0; a < counts[i]; a++) {
+            int b = a;
+            while (b > i % 3) {
+                acc = acc + (float)(a * b);
+                b--;
+            }
+        }
+        out[i] = acc;
+    }
+}
+"""
+
+JUMPS_SRC = """
+__kernel void jumps(__global float* A, __global float* out, int n, int m)
+{
+    int i = get_global_id(0);
+    if (i < n) {
+        float acc = 0.0f;
+        int j;
+        for (j = 0; j < m; j++) {
+            float v = A[i * m + j];
+            if (v < -1.0f) break;
+            if (v > 1.0f) continue;
+            acc = acc + v;
+        }
+        int k = 0;
+        do {
+            k++;
+            if (A[i * m + k % m] > 0.5f) continue;
+            acc = acc * 0.5f;
+        } while (k < i % 4);
+        out[i] = acc + (float)j + (float)k;
+    }
+}
+"""
+
+EARLY_RETURN_SRC = """
+__kernel void early(__global float* A, __global float* out, int n)
+{
+    int i = get_global_id(0);
+    if (i >= n) return;
+    if (A[i] < 0.0f) { out[i] = -1.0f; return; }
+    float v = A[i];
+    int k = 0;
+    while (v > 0.25f) {
+        v = v / 2.0f;
+        k++;
+    }
+    if (k % 2 == 1) return;
+    out[i] = v + (float)k;
+}
+"""
+
+
+def _nested_args(n, rng, padded):
+    return {"counts": rng.integers(0, 6, size=padded),
+            "out": np.zeros(padded), "n": n}
+
+
+def _jumps_args(n, rng, padded, m=7):
+    return {"A": rng.standard_normal(padded * m) * 1.5,
+            "out": np.zeros(padded), "n": n, "m": m}
+
+
+def _early_args(n, rng, padded):
+    return {"A": rng.standard_normal(padded) * 4.0,
+            "out": np.zeros(padded), "n": n}
+
+
+#: name -> (source, kernel name, args builder(n, rng, padded size)).
+MASKED_LOOPS = {
+    "spmv": (SPMV_SRC, "spmv_csr", _csr_args),
+    "pagerank": (PAGERANK_SRC, "pagerank_step", _pagerank_args),
+    "nested": (NESTED_SRC, "nested", _nested_args),
+    "break_continue": (JUMPS_SRC, "jumps", _jumps_args),
+    "early_return": (EARLY_RETURN_SRC, "early", _early_args),
+}
+
+
+class TestMaskedLoops:
+    """Lane-varying loops compile to masked loops — never a decline —
+    and match the oracle byte for byte."""
+
+    @staticmethod
+    def _case(name, n, wg, seed=0):
+        source, kernel, build = MASKED_LOOPS[name]
+        padded = -(-n // wg) * wg
+        args = build(n, np.random.default_rng(seed), padded)
+        return source, kernel, args, NDRange(padded, wg)
+
+    @pytest.mark.parametrize("name", list(MASKED_LOOPS))
+    @pytest.mark.parametrize("n,wg", [(32, 8), (37, 8), (5, 4)])
+    def test_ragged_launch(self, name, n, wg):
+        source, kernel, args, ndrange = self._case(name, n, wg)
+        info = analyze_kernel(parse_kernel(source))
+        assert compile_kernel(info, args, ndrange).masked
+        execution_stats.reset()
+        try:
+            assert_bit_identical(source, args, ndrange)
+            assert execution_stats.backend_for(kernel) == "jit"
+            assert not execution_stats.fallbacks
+        finally:
+            execution_stats.reset()
+
+    @pytest.mark.parametrize("name", list(MASKED_LOOPS))
+    def test_group_subsets(self, name):
+        """The scheduler runs a launch as chunks of work-groups."""
+        source, _kernel, args, ndrange = self._case(name, 45, 4, seed=1)
+        info = analyze_kernel(parse_kernel(source))
+        expected = _copy_args(args)
+        KernelExecutor(info, expected, ndrange).run()
+        actual = _copy_args(args)
+        executor = make_executor(info, actual, ndrange, backend="jit")
+        assert isinstance(executor, JitExecutor)
+        groups = list(ndrange.group_ids())
+        for start in range(0, len(groups), 5):
+            executor.run(groups[start:start + 5])
+        assert not executor.used_fallback
+        for buf, value in expected.items():
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == actual[buf].tobytes(), buf
+
+    @pytest.mark.parametrize("name", list(MASKED_LOOPS))
+    @pytest.mark.parametrize("mod,alloc", THROTTLES)
+    def test_throttle_grid(self, name, mod, alloc):
+        """Algorithm 1 over the throttle grid: jit CPU chunks plus the
+        malleable GPU variant against the oracle's untouched launch."""
+        source, _kernel, args, ndrange = self._case(name, 37, 4, seed=2)
+        info = analyze_kernel(parse_kernel(source))
+        expected = _copy_args(args)
+        KernelExecutor(info, expected, ndrange).run()
+        actual = _copy_args(args)
+        run_dynamic(info, make_malleable(source, work_dim=1), actual,
+                    ndrange, DopSetting(cpu_threads=2, gpu_fraction=0.5),
+                    mod, alloc, backend="jit")
+        for buf, value in expected.items():
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == actual[buf].tobytes(), buf
+
+
+#: ``c`` turns lane-valued at its first store, but the branch reads it
+#: before: a promoted variable must already be a lane array there, or the
+#: uniform first read makes the else mask ``~True`` (the int -2), and the
+#: scatter under it writes a lane the oracle never stores.
+PROMOTED_SRC = """
+__kernel void promoted(__global float* A, __global float* out,
+                       __global float* out2, int m)
+{
+    int i = get_global_id(0);
+    float c = 0.0f;
+    for (int j = 0; j < m; j++) {
+        if (c == 0.0f) { out[i] = 1.0f; } else { out2[i] = A[i]; }
+        c = c + A[i * m + j];
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_promoted_variable_read_before_its_first_lane_store(m):
+    rng = np.random.default_rng(0)
+    args = {"A": rng.standard_normal(8 * m), "out": np.zeros(8),
+            "out2": np.zeros(8), "m": m}
+    execution_stats.reset()
+    try:
+        assert_bit_identical(PROMOTED_SRC, args, NDRange(8, 4))
+        assert execution_stats.backend_for("promoted") == "jit"
+        assert not execution_stats.fallbacks
+    finally:
+        execution_stats.reset()
 
 
 # -- hypothesis: random parameters and launch geometries ---------------------

@@ -348,12 +348,12 @@ class TestPointerBounds:
                 NDRange(1, 1),
             )
 
-    def test_vector_backend_oob_raises_too(self):
+    def test_jit_backend_oob_raises_too(self):
         with pytest.raises(KernelRuntimeError, match="out-of-bounds"):
             execute_kernel(
                 "__kernel void f(__global float* A, int n)"
                 "{ A[get_global_id(0) + n] = 1.0f; }",
                 {"A": np.zeros(4), "n": 1},
                 NDRange(4, 4),
-                backend="vector",
+                backend="jit",
             )

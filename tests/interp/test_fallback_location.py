@@ -1,4 +1,4 @@
-"""Vectorize-fallback reasons carry source locations (ExecutionStats)."""
+"""Jit-fallback reasons carry source locations (ExecutionStats)."""
 
 import numpy as np
 
@@ -7,7 +7,7 @@ from repro.frontend.semantics import analyze_kernel
 from repro.interp.executor import execute_kernel
 from repro.interp.ndrange import NDRange
 from repro.interp.stats import ExecutionStats, execution_stats
-from repro.interp.vectorize import check_vectorizable
+from repro.interp.backend import check_vectorizable
 
 
 def info_of(source):
@@ -28,7 +28,29 @@ def test_ineligibility_reason_has_location():
     assert eligibility.location.line >= 1
 
 
-def test_runtime_fallback_records_location():
+def test_jit_decline_records_location():
+    source = (
+        "int twice(int x) { return 2 * x; }\n"
+        "__kernel void k(__global int* a) {\n"
+        "    int i = get_global_id(0);\n"
+        "    a[i] = twice(a[i]);\n"
+        "}\n"
+    )
+    execution_stats.reset()
+    a = np.arange(8, dtype=np.int64)
+    execute_kernel(source, {"a": a}, NDRange((8,), (4,)), backend="jit")
+    try:
+        assert a.tolist() == [2 * v for v in range(8)]
+        assert execution_stats.fallback_count("k", tier="jit") == 1
+        assert execution_stats.backend_for("k") == "scalar"
+        location = execution_stats.fallback_locations.get(("k", "jit"))
+        assert location == "4:17", location  # the helper call's span
+        assert "at 4:17" in execution_stats.summary()
+    finally:
+        execution_stats.reset()
+
+
+def test_runtime_guard_records_fallback():
     source = (
         "__kernel void sh(__global int* a, __global int* b, int s) {\n"
         "    int i = get_global_id(0);\n"
@@ -38,17 +60,13 @@ def test_runtime_fallback_records_location():
     execution_stats.reset()
     a = np.zeros(8, dtype=np.int64)
     b = np.zeros(8, dtype=np.int64)
-    # shift amount 70 is outside [0, 64): the vector path must fall back
+    # shift amount 70 is outside [0, 64): the jit must re-run on the oracle
     execute_kernel(source, {"a": a, "b": b, "s": 70},
-                   NDRange((8,), (4,)), backend="vector")
+                   NDRange((8,), (4,)), backend="jit")
     try:
-        assert execution_stats.fallbacks.get(("sh", "vector")) == 1
-        assert execution_stats.fallback_count("sh") == 1
-        assert execution_stats.fallback_count("sh", tier="vector") == 1
-        assert execution_stats.fallback_count("sh", tier="jit") == 0
-        location = execution_stats.fallback_locations.get(("sh", "vector"))
-        assert location == "3:17", location  # the << expression's span
-        assert "at 3:17" in execution_stats.summary()
+        assert execution_stats.fallback_count("sh", tier="jit") == 1
+        assert "shift" in execution_stats.fallback_reasons[("sh", "jit")]
+        assert ("sh", "scalar") in execution_stats.runs
     finally:
         execution_stats.reset()
 
@@ -56,22 +74,22 @@ def test_runtime_fallback_records_location():
 def test_record_fallback_without_location():
     stats = ExecutionStats()
     stats.record_fallback("k", "why")
-    assert stats.fallback_locations[("k", "vector")] == ""
+    assert stats.fallback_locations[("k", "jit")] == ""
     stats.reset()
     assert stats.fallback_locations == {}
 
 
 def test_fallbacks_keyed_per_tier():
-    """Regression: jit and vector fallbacks must not aggregate (ISSUE 6)."""
+    """Regression: fallbacks of different tiers must not aggregate."""
     stats = ExecutionStats()
-    stats.record_fallback("k", "lane loop", tier="jit")
-    stats.record_fallback("k", "shift out of range", tier="vector")
-    stats.record_fallback("k", "shift out of range", tier="vector")
+    stats.record_fallback("k", "helper call", tier="jit")
+    stats.record_fallback("k", "shift out of range", tier="other")
+    stats.record_fallback("k", "shift out of range", tier="other")
     assert stats.fallback_count("k", tier="jit") == 1
-    assert stats.fallback_count("k", tier="vector") == 2
+    assert stats.fallback_count("k", tier="other") == 2
     assert stats.fallback_count("k") == 3
-    assert stats.fallback_tiers("k") == ["jit", "vector"]
-    assert stats.fallback_reasons[("k", "jit")] == "lane loop"
+    assert stats.fallback_tiers("k") == ["jit", "other"]
+    assert stats.fallback_reasons[("k", "jit")] == "helper call"
     summary = stats.summary()
     assert "jit-fallbacks=1" in summary
-    assert "vector-fallbacks=2" in summary
+    assert "other-fallbacks=2" in summary

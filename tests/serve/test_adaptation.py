@@ -82,7 +82,7 @@ def test_server_adapts_under_ledger_load(trained_model):
     """End to end: a held lease changes the *served* prediction."""
     workload = SCALED_REAL_FACTORIES["GESUMMV"]()
     with DopiaServer(KAVERI, trained_model, workers=1,
-                     backend="vector") as server:
+                     backend="jit") as server:
         session = server.session()
         idle_result = session.launch(workload, rng_seed=0).result(timeout=120)
         idle_setting = idle_result.prediction.config.setting
@@ -110,7 +110,7 @@ def test_prediction_cache_is_per_load_bucket(trained_model):
     """Identical launches under different loads hit different cache lines."""
     workload = SCALED_REAL_FACTORIES["GESUMMV"]()
     with DopiaServer(KAVERI, trained_model, workers=1,
-                     backend="vector") as server:
+                     backend="jit") as server:
         session = server.session()
         session.launch(workload, rng_seed=0).result(timeout=120)
         repeat = session.launch(workload, rng_seed=0).result(timeout=120)

@@ -69,7 +69,7 @@ def test_concurrent_launches_cover_exactly(clients, cpu_threads,
     def launch(slot):
         try:
             barrier.wait()
-            results[slot] = run_one(n_items, wg, setting, "vector")
+            results[slot] = run_one(n_items, wg, setting, "jit")
         except BaseException as error:  # noqa: BLE001
             errors.append(error)
             barrier.abort()
@@ -128,7 +128,7 @@ def test_server_never_loses_or_duplicates_work(trained_model, clients,
             barrier.abort()
 
     with DopiaServer(KAVERI, trained_model, workers=clients,
-                     backend="vector") as server:
+                     backend="jit") as server:
         threads = [threading.Thread(target=client_loop, args=(client,))
                    for client in range(clients)]
         for thread in threads:

@@ -40,7 +40,7 @@ from repro.workloads.chains import ChainTask, KernelChain
 
 CLIENTS = 8
 SHARDS = 4
-BACKEND = "vector"
+BACKEND = "jit"
 EXAMPLES = int(os.environ.get("DOPIA_SHARD_GRAPH_EXAMPLES", "15"))
 
 

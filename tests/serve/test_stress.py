@@ -22,7 +22,7 @@ from repro.sim import KAVERI
 from repro.workloads import SCALED_REAL_FACTORIES
 
 CLIENTS = 8
-BACKENDS = ("vector", "scalar")
+BACKENDS = ("jit", "scalar")
 
 
 def buffer_bytes(args):
