@@ -630,16 +630,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
     import json
 
     from .interp.bench import backend_bench, compare_reports
+    from .interp.codegen import JitUnsupported
 
-    payload = backend_bench(repeats=args.repeats)
+    try:
+        payload = backend_bench(repeats=args.repeats)
+    except JitUnsupported as error:
+        raise SystemExit(f"error: the jit declined a bench kernel: {error}")
 
     header = (f"{'kernel':10s} {'items':>7s} {'scalar':>9s} {'jit':>9s} "
-              f"{'jit-x':>6s} {'path':>6s}  identical")
+              f"{'jit-x':>6s}  identical")
     print(header)
     for name, row in payload["kernels"].items():
         print(f"{name:10s} {row['work_items']:7d} {row['scalar_s']:8.4f}s "
-              f"{row['jit_s']:8.4f}s {row['jit_speedup']:5.1f}x "
-              f"{row['jit_path']:>6s}  {row['identical']}")
+              f"{row['jit_s']:8.4f}s {row['jit_speedup']:5.1f}x  "
+              f"{row['identical']}")
 
     broken = [name for name, row in payload["kernels"].items()
               if not row["identical"]]
@@ -1235,11 +1239,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bench",
         help="benchmark the execution backends against each other "
-             "(scalar / vector / jit) with a baseline regression guard",
+             "(scalar / jit) with a baseline regression guard",
     )
     p.add_argument("--repeats", type=int, default=3,
-                   help="timing repetitions per backend; best-of wins "
-                        "(default 3)")
+                   help="timing rounds, alternating the backends; each "
+                        "backend's best round wins (default 3)")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the JSON report")
     p.add_argument("--check", default=None, metavar="PATH",

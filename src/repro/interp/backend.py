@@ -240,8 +240,7 @@ def make_executor(
     try:
         compiled = compile_cached(info, args, ndrange)
     except JitUnsupported as exc:
-        execution_stats.record_fallback(name, str(exc), exc.location,
-                                        tier="jit")
+        execution_stats.record_fallback(name, str(exc), exc.location)
         if tracer.enabled:
             tracer.instant("backend.fallback", "backend", kernel=name,
                            tier="jit", reason=str(exc))

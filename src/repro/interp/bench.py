@@ -88,12 +88,16 @@ def backend_bench(
 ) -> dict:
     """Measure both backends on every subject and build the JSON payload.
 
-    The scalar oracle is timed once.  The jit tier is compiled once up
-    front (the compile is reported separately as ``jit_compile_s``) and
-    then timed best-of-``repeats`` on fresh buffers with a warm program
-    cache — the steady state a server or repeated launch sees.  Kernels
-    whose compile declines run the oracle under the jit entry point
-    instead and are marked ``jit_path: "scalar"``.
+    The jit tier is compiled once up front (the compile is reported
+    separately as ``jit_compile_s``); a kernel the compiler declines
+    fails the bench with :class:`~repro.interp.codegen.JitUnsupported`.
+    Then ``repeats`` rounds alternate one scalar-oracle run with a
+    best-of window of jit runs, each on fresh buffers with a warm program
+    cache — the steady state a server or repeated launch sees.  Each tier
+    reports its best time over the rounds: alternating keeps the two
+    tiers' samples close in time, so a busy neighbour on a shared host
+    slows both rather than one, and the best over rounds reads the
+    uncontended speed of each.
     """
     from .codegen import JitExecutor, JitUnsupported, compile_cached
 
@@ -106,36 +110,29 @@ def backend_bench(
         info = workload.kernel_info()
         ndrange = workload.ndrange()
         base = workload.full_args(rng=rng)
-
-        # The scalar oracle is 2-3 orders of magnitude slower than the
-        # jit — a single timing is already noise-free, and best-of-repeats
-        # would multiply the bench's wall time for nothing.
-        scalar_args = _copy_args(base)
-        scalar_s = _best_of(
-            lambda: KernelExecutor(info, scalar_args, ndrange).run(), 1,
-            min_seconds=0.0)
-
         try:
             compiled = compile_cached(info, _copy_args(base), ndrange)
-        except JitUnsupported:
-            compiled = None
+        except JitUnsupported as exc:
+            raise JitUnsupported(f"{name}: {exc}", exc.location) from None
 
-        def run_jit(args: dict) -> None:
-            if compiled is None:
-                KernelExecutor(info, args, ndrange).run()
-            else:
-                JitExecutor(info, args, ndrange, compiled).run()
-
-        jit_s = _best_of(lambda: run_jit(_copy_args(base)), repeats)
+        scalar_s = jit_s = math.inf
+        for _ in range(max(1, repeats)):
+            scalar_args = _copy_args(base)
+            # The oracle is 2-3 orders of magnitude slower than the jit:
+            # one run per round already exceeds the jit's whole window.
+            scalar_s = min(scalar_s, _best_of(
+                lambda: KernelExecutor(info, scalar_args, ndrange).run(), 1,
+                min_seconds=0.0))
+            jit_s = min(jit_s, _best_of(
+                lambda: JitExecutor(info, _copy_args(base), ndrange,
+                                    compiled).run(), 1))
         jit_args = _copy_args(base)
-        run_jit(jit_args)
+        JitExecutor(info, jit_args, ndrange, compiled).run()
         kernels[name] = {
             "work_items": workload.total_work_items,
             "scalar_s": round(scalar_s, 6),
             "jit_s": round(jit_s, 6),
-            "jit_compile_s": round(
-                compiled.compile_seconds if compiled else 0.0, 6),
-            "jit_path": "jit" if compiled is not None else "scalar",
+            "jit_compile_s": round(compiled.compile_seconds, 6),
             "jit_speedup": round(scalar_s / jit_s, 3),
             "identical": _buffers_identical(info, scalar_args, jit_args),
         }
@@ -160,10 +157,10 @@ def compare_reports(current: dict, baseline: dict,
     carry ~±10% run-to-run noise on shared CI runners, so a per-kernel
     0.9x gate would flake; the gate is therefore layered:
 
-    * **fatal** — buffers not bit-identical to scalar; a kernel's
-      ``jit_path`` changing (e.g. the compiler silently declining a
-      kernel it used to take); or a kernel's ``jit_speedup`` collapsing
-      below ``ratio - PER_KERNEL_SLACK`` of its baseline.
+    * **fatal** — buffers not bit-identical to scalar, or a kernel's
+      ``jit_speedup`` collapsing below ``ratio - PER_KERNEL_SLACK`` of
+      its baseline.  (A kernel the compiler declines already fails
+      :func:`backend_bench`.)
     * **warning** — a ``jit_speedup`` between the hard floor and
       ``ratio`` times its baseline: reported, but one noisy kernel does
       not fail the lane.
@@ -178,10 +175,6 @@ def compare_reports(current: dict, baseline: dict,
             continue
         if not row.get("identical", False):
             failures.append(f"{name}: jit buffers diverged from scalar")
-        if row.get("jit_path") != reference.get("jit_path"):
-            failures.append(
-                f"{name}: jit path changed "
-                f"{reference.get('jit_path')!r} -> {row.get('jit_path')!r}")
         ref = reference.get("jit_speedup")
         cur = row.get("jit_speedup")
         if not ref or cur is None:

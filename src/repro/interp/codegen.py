@@ -102,8 +102,13 @@ class JitRuntimeGuard(Exception):
 
     Never escapes :meth:`JitExecutor.run`: the executor restores the
     buffer snapshot and re-runs on the scalar oracle, which reproduces
-    the exact behaviour (including its exception, if any).
+    the exact behaviour (including its exception, if any).  ``location``
+    is the ``"line:column"`` of the guarded construct.
     """
+
+    def __init__(self, why: str, location: Optional[str] = None):
+        super().__init__(why)
+        self.location = location
 
 
 #: Interval bounds beyond this are dropped: lane arithmetic runs in
@@ -137,7 +142,8 @@ class _Runtime:
     Every guard raises :class:`JitRuntimeGuard` (or a natural Python
     error), which the executor converts into a transparent oracle
     re-run — so these helpers only need to *detect* divergence from the
-    oracle, never to reproduce its exact exception.
+    oracle, never to reproduce its exact exception.  Each guard takes the
+    source location ``at`` of its construct for the fallback record.
     """
 
     JitRuntimeGuard = JitRuntimeGuard
@@ -158,35 +164,39 @@ class _Runtime:
     # -- memory --------------------------------------------------------------
 
     @staticmethod
-    def load_u(base: np.ndarray, idx: Any, mask: Any, limit: Any) -> Any:
+    def load_u(base: np.ndarray, idx: Any, mask: Any, limit: Any,
+               at: Optional[str]) -> Any:
         if mask is not None and not mask.any():
             return 0.0 if base.dtype.kind == "f" else 0
         if limit is not None and not 0 <= idx < limit:
-            raise JitRuntimeGuard(f"uniform load index {idx} out of bounds")
+            raise JitRuntimeGuard(f"uniform load index {idx} out of bounds",
+                                  at)
         value = base[idx]
         return value.item() if isinstance(value, np.generic) else value
 
     @staticmethod
-    def gather(base: np.ndarray, idx: Any, mask: Any, limit: Any) -> Any:
+    def gather(base: np.ndarray, idx: Any, mask: Any, limit: Any,
+               at: Optional[str]) -> Any:
         if not isinstance(idx, np.ndarray):
-            return _Runtime.load_u(base, idx, mask, limit)
+            return _Runtime.load_u(base, idx, mask, limit, at)
         if limit is not None:
             bad = (idx < 0) | (idx >= limit)
             if mask is not None:
                 bad = bad & mask
             if bad.any():
-                raise JitRuntimeGuard("gather index out of bounds")
+                raise JitRuntimeGuard("gather index out of bounds", at)
         if mask is not None:
             idx = np.where(mask, idx, 0)
         return _widen(base[idx])
 
     @staticmethod
     def store_u(base: np.ndarray, idx: Any, value: Any, mask: Any,
-                limit: Any) -> None:
+                limit: Any, at: Optional[str]) -> None:
         if mask is not None and not mask.any():
             return
         if limit is not None and not 0 <= idx < limit:
-            raise JitRuntimeGuard(f"uniform store index {idx} out of bounds")
+            raise JitRuntimeGuard(f"uniform store index {idx} out of bounds",
+                                  at)
         if isinstance(value, np.ndarray):
             selected = value if mask is None else value[mask]
             if selected.size:
@@ -196,16 +206,16 @@ class _Runtime:
 
     @staticmethod
     def scatter(base: np.ndarray, idx: Any, value: Any, mask: Any,
-                limit: Any) -> None:
+                limit: Any, at: Optional[str]) -> None:
         if not isinstance(idx, np.ndarray):
-            _Runtime.store_u(base, idx, value, mask, limit)
+            _Runtime.store_u(base, idx, value, mask, limit, at)
             return
         if limit is not None:
             bad = (idx < 0) | (idx >= limit)
             if mask is not None:
                 bad = bad & mask
             if bad.any():
-                raise JitRuntimeGuard("scatter index out of bounds")
+                raise JitRuntimeGuard("scatter index out of bounds", at)
         if mask is None:
             base[idx] = value
         elif isinstance(value, np.ndarray):
@@ -216,8 +226,8 @@ class _Runtime:
     # -- arithmetic guards ---------------------------------------------------
 
     @staticmethod
-    def div(left: Any, right: Any, mask: Any) -> Any:
-        _Runtime._active_zero(right, mask)
+    def div(left: Any, right: Any, mask: Any, at: Optional[str]) -> Any:
+        _Runtime._active_zero(right, mask, at)
         if _isf(left) or _isf(right):
             return np.divide(left, right)
         quotient = np.floor_divide(left, right)
@@ -226,8 +236,8 @@ class _Runtime:
         return quotient + (inexact & negative)
 
     @staticmethod
-    def mod(left: Any, right: Any, mask: Any) -> Any:
-        _Runtime._active_zero(right, mask)
+    def mod(left: Any, right: Any, mask: Any, at: Optional[str]) -> Any:
+        _Runtime._active_zero(right, mask, at)
         if _isf(left) or _isf(right):
             return np.fmod(left, right)
         quotient = np.floor_divide(left, right)
@@ -236,48 +246,51 @@ class _Runtime:
         return left - (quotient + (inexact & negative)) * right
 
     @staticmethod
-    def _active_zero(right: Any, mask: Any) -> None:
+    def _active_zero(right: Any, mask: Any, at: Optional[str]) -> None:
         if isinstance(right, np.ndarray):
             zero = right == 0
             hit = zero if mask is None else (mask & zero)
             if hit.any():
-                raise JitRuntimeGuard("division by zero on an active lane")
+                raise JitRuntimeGuard("division by zero on an active lane",
+                                      at)
         elif right == 0:
             if mask is None or mask.any():
-                raise JitRuntimeGuard("division by zero")
+                raise JitRuntimeGuard("division by zero", at)
 
     @staticmethod
-    def c_div(left: Any, right: Any, mask: Any) -> Any:
+    def c_div(left: Any, right: Any, mask: Any, at: Optional[str]) -> Any:
         if mask is not None and not mask.any():
             return 0
         try:
             return c_div(left, right)
         except ZeroDivisionError:
-            raise JitRuntimeGuard("uniform division by zero") from None
+            raise JitRuntimeGuard("uniform division by zero", at) from None
 
     @staticmethod
-    def c_mod(left: Any, right: Any, mask: Any) -> Any:
+    def c_mod(left: Any, right: Any, mask: Any, at: Optional[str]) -> Any:
         if mask is not None and not mask.any():
             return 0
         try:
             return c_mod(left, right)
         except ZeroDivisionError:
-            raise JitRuntimeGuard("uniform modulo by zero") from None
+            raise JitRuntimeGuard("uniform modulo by zero", at) from None
 
     @staticmethod
-    def shift(op: str, left: Any, right: Any, mask: Any) -> Any:
+    def shift(op: str, left: Any, right: Any, mask: Any,
+              at: Optional[str]) -> Any:
         amount = _Runtime.as_int(right)
         if isinstance(amount, np.ndarray):
             bad = (amount < 0) | (amount >= 64)
             hit = bad if mask is None else (mask & bad)
             if hit.any():
-                raise JitRuntimeGuard("shift amount outside [0, 64)")
+                raise JitRuntimeGuard("shift amount outside [0, 64)", at)
             fn = np.left_shift if op == "<<" else np.right_shift
             return fn(_Runtime.as_int(left), amount)
         if mask is not None and not mask.any():
             return 0
         if not 0 <= amount < 64:
-            raise JitRuntimeGuard(f"shift amount {amount} outside [0, 64)")
+            raise JitRuntimeGuard(f"shift amount {amount} outside [0, 64)",
+                                  at)
         left = _Runtime.as_int(left)
         if isinstance(left, np.ndarray):
             fn = np.left_shift if op == "<<" else np.right_shift
@@ -287,16 +300,17 @@ class _Runtime:
     # -- math builtins -------------------------------------------------------
 
     @staticmethod
-    def math_u(name: str, mask: Any, *args: Any) -> Any:
+    def math_u(name: str, mask: Any, at: Optional[str], *args: Any) -> Any:
         if mask is not None and not mask.any():
             return 0.0
         try:
             return MATH_IMPLS[name](*args)
         except MATH_ERRORS as exc:
-            raise JitRuntimeGuard(f"math builtin {name!r}: {exc}") from exc
+            raise JitRuntimeGuard(f"math builtin {name!r}: {exc}",
+                                  at) from exc
 
     @staticmethod
-    def math(name: str, mask: Any, *args: Any) -> Any:
+    def math(name: str, mask: Any, at: Optional[str], *args: Any) -> Any:
         args = tuple(_Runtime.as_float(a) for a in args)
         if mask is not None and not mask.any():
             width = next(
@@ -310,7 +324,7 @@ class _Runtime:
         check = MATH_DOMAIN_CHECKS.get(name)
         if check is not None and bool(np.any(check(*packed))):
             raise JitRuntimeGuard(
-                f"math builtin {name!r}: domain error on an active lane")
+                f"math builtin {name!r}: domain error on an active lane", at)
         try:
             if name in NATIVE_MATH:
                 result = NATIVE_MATH[name](*packed)
@@ -319,7 +333,8 @@ class _Runtime:
             else:
                 result = WRAPPED_MATH[name](*packed)
         except MATH_ERRORS as exc:
-            raise JitRuntimeGuard(f"math builtin {name!r}: {exc}") from exc
+            raise JitRuntimeGuard(f"math builtin {name!r}: {exc}",
+                                  at) from exc
         if not isinstance(result, np.ndarray):
             return result
         if full:
@@ -337,6 +352,12 @@ class _Runtime:
     @staticmethod
     def int_fn(name: str, *args: Any) -> Any:
         return LANE_INT[name](*args)
+
+
+def _at(node: Any) -> str:
+    """Generated-code literal for ``node``'s ``"line:column"`` (or None)."""
+    location = getattr(node, "location", None)
+    return repr(str(location)) if location is not None else "None"
 
 
 def _isf(value: Any) -> bool:
@@ -665,10 +686,14 @@ class _Compiler:
         if kind is ast.Return:
             if ctx.depth == 0:
                 self._emit("return")
-            elif _LIVE not in self.facts:
-                raise _Restart({_LIVE})
-            else:
-                self._retire(ctx, ctx.chain)
+                return
+            # The returning lanes leave every enclosing loop too: each one
+            # must run masked, or a loop only a return ends never stops.
+            needed = {_LIVE} | {loop.node_id for loop in self.loops
+                                if loop.mask is None}
+            if not needed <= self.facts:
+                raise _Restart(needed)
+            self._retire(ctx, ctx.chain)
             return
         if kind is ast.Break or kind is ast.Continue:
             self._jump(stmt, ctx)
@@ -1052,8 +1077,9 @@ class _Compiler:
         elide = self._bounds_elided(idx, buf)
         limit = "None" if elide else str(buf.extent)
         mask = ctx.mask or "None"
+        at = _at(node)
         if not idx.lane:
-            code = f"rt.load_u({buf.py}, {idx.code}, {mask}, {limit})"
+            code = f"rt.load_u({buf.py}, {idx.code}, {mask}, {limit}, {at})"
             return _V(code, buf.kind, lane=False)
         if ctx.mask is None and elide:
             raw = f"{buf.py}[{idx.code}]"
@@ -1064,7 +1090,7 @@ class _Compiler:
             else:
                 code = f"rt.as_int({raw})"
         else:
-            code = f"rt.gather({buf.py}, {idx.code}, {mask}, {limit})"
+            code = f"rt.gather({buf.py}, {idx.code}, {mask}, {limit}, {at})"
         return _V(code, buf.kind, lane=True)
 
     def _store_indexed(self, node: ast.Index, idx: _V, value: _V,
@@ -1073,16 +1099,17 @@ class _Compiler:
         elide = self._bounds_elided(idx, buf)
         limit = "None" if elide else str(buf.extent)
         mask = ctx.mask or "None"
+        at = _at(node)
         if not idx.lane:
             self._emit(f"rt.store_u({buf.py}, {idx.code}, {value.code}, "
-                       f"{mask}, {limit})")
+                       f"{mask}, {limit}, {at})")
         elif ctx.mask is None and elide:
             # NumPy broadcasts a scalar value across the lane indices,
             # which matches the oracle (every lane stores the same value).
             self._emit(f"{buf.py}[{idx.code}] = {value.code}")
         else:
             self._emit(f"rt.scatter({buf.py}, {idx.code}, {value.code}, "
-                       f"{mask}, {limit})")
+                       f"{mask}, {limit}, {at})")
 
     # -- expressions ---------------------------------------------------------
 
@@ -1213,26 +1240,27 @@ class _Compiler:
         lane = left.lane or right.lane
         fkind = "f" if "f" in (left.kind, right.kind) else "i"
         mask = ctx.mask or "None"
+        at = _at(node)
         if op in ("+", "-", "*"):
             return _V(f"({left.code} {op} {right.code})", fkind, lane,
                       rng=self._rng_binop(op, left, right))
         if op == "/":
             if lane:
-                return _V(f"rt.div({left.code}, {right.code}, {mask})",
+                return _V(f"rt.div({left.code}, {right.code}, {mask}, {at})",
                           fkind, True)
             if ctx.mask is None:
                 code = f"({left.code} / {right.code})" if fkind == "f" \
-                    else f"rt.c_div({left.code}, {right.code}, None)"
+                    else f"rt.c_div({left.code}, {right.code}, None, {at})"
                 # float path: plain Python division is exactly c_div's
                 # float branch; int path keeps C truncation.
                 return _V(code, fkind, False)
-            return _V(f"rt.c_div({left.code}, {right.code}, {mask})",
+            return _V(f"rt.c_div({left.code}, {right.code}, {mask}, {at})",
                       fkind, False)
         if op == "%":
             if lane:
-                return _V(f"rt.mod({left.code}, {right.code}, {mask})",
+                return _V(f"rt.mod({left.code}, {right.code}, {mask}, {at})",
                           fkind, True)
-            return _V(f"rt.c_mod({left.code}, {right.code}, {mask})",
+            return _V(f"rt.c_mod({left.code}, {right.code}, {mask}, {at})",
                       fkind, False)
         if op in ("==", "!=", "<", ">", "<=", ">="):
             cond = self._cmp_cond(op, left, right)
@@ -1240,9 +1268,9 @@ class _Compiler:
         if op in ("<<", ">>"):
             if not lane and ctx.mask is None:
                 return _V(f"rt.shift({op!r}, {left.code}, {right.code}, "
-                          "None)", "i", False)
-            return _V(f"rt.shift({op!r}, {left.code}, {right.code}, {mask})",
-                      "i", lane)
+                          f"None, {at})", "i", False)
+            return _V(f"rt.shift({op!r}, {left.code}, {right.code}, {mask}, "
+                      f"{at})", "i", lane)
         if op in ("&", "|", "^"):
             lefti = self._to_kind(left, "i")
             righti = self._to_kind(right, "i")
@@ -1448,9 +1476,10 @@ class _Compiler:
                 pass  # would raise at runtime: emit the guarded form
         codes = ", ".join(a.code for a in args)
         mask = ctx.mask or "None"
+        at = _at(expr)
         if any(a.lane for a in args):
-            return _V(f"rt.math({name!r}, {mask}, {codes})", kind, True)
-        return _V(f"rt.math_u({name!r}, {mask}, {codes})", kind, False)
+            return _V(f"rt.math({name!r}, {mask}, {at}, {codes})", kind, True)
+        return _V(f"rt.math_u({name!r}, {mask}, {at}, {codes})", kind, False)
 
     def _int_call(self, name: str, expr: ast.Call, ctx: _Ctx) -> _V:
         args = [self._expr(a, ctx) for a in expr.args]
@@ -1694,8 +1723,8 @@ class JitExecutor:
                 buffers[name][...] = saved
             self.used_fallback = True
             execution_stats.record_fallback(
-                self.info.kernel.name, f"jit runtime: {exc}", None,
-                tier="jit")
+                self.info.kernel.name, f"jit runtime: {exc}",
+                getattr(exc, "location", None))
             if tracer.enabled:
                 tracer.instant("backend.fallback", "backend",
                                kernel=self.info.kernel.name, tier="jit",

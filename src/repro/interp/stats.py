@@ -5,10 +5,6 @@ reset-able counter that records which backend (``jit`` or ``scalar``)
 executed each kernel, how much work it processed, and how long it took —
 so the speedup of the compiled tier over the scalar oracle is observable
 from the CLI and from tests.
-
-Fallback counters are keyed per ``(kernel, tier)``, where ``tier`` names
-the backend that declined the work, so ``dopia backends`` can report
-each tier's reversions separately.
 """
 
 from __future__ import annotations
@@ -38,19 +34,18 @@ class ExecutionStats:
 
     ``choices`` keeps the most recent backend-selection decision per kernel
     (and why it was made); ``runs`` accumulates executed work per
-    ``(kernel, backend)``; ``fallbacks`` counts transparent reversions to a
-    slower tier, keyed per ``(kernel, tier)`` where ``tier`` names the
-    backend that *declined* the work (``"jit"``: compile refusal or
-    runtime guard, both answered by the scalar oracle).
+    ``(kernel, backend)``; ``fallbacks`` counts, per kernel, the times the
+    jit declined work (a compile refusal or a runtime guard trip), each
+    answered by the scalar oracle.
     """
 
     runs: dict[tuple[str, str], _BackendCounter] = field(default_factory=dict)
     choices: dict[str, tuple[str, str]] = field(default_factory=dict)
-    fallbacks: dict[tuple[str, str], int] = field(default_factory=dict)
-    fallback_reasons: dict[tuple[str, str], str] = field(default_factory=dict)
-    #: (kernel, tier) -> "line:column" of the construct that forced the most
-    #: recent fallback ("" when the fallback site carried no source location)
-    fallback_locations: dict[tuple[str, str], str] = field(default_factory=dict)
+    fallbacks: dict[str, int] = field(default_factory=dict)
+    fallback_reasons: dict[str, str] = field(default_factory=dict)
+    #: kernel -> "line:column" of the construct that forced the most recent
+    #: fallback ("" when the fallback site carried no source location)
+    fallback_locations: dict[str, str] = field(default_factory=dict)
     #: kernel -> number of jit compilations (cache misses, including
     #: negative results) and the time they took
     jit_compiles: dict[str, int] = field(default_factory=dict)
@@ -77,17 +72,13 @@ class ExecutionStats:
             counter.seconds += seconds
 
     def record_fallback(self, kernel: str, reason: str,
-                        location: object = None, tier: str = "jit") -> None:
-        key = (kernel, tier)
+                        location: object = None) -> None:
+        """``location``: a source location or its ``"line:column"``."""
         with self._lock:
-            self.fallbacks[key] = self.fallbacks.get(key, 0) + 1
-            self.fallback_reasons[key] = reason
-            line = getattr(location, "line", None)
-            if line:
-                column = getattr(location, "column", 0)
-                self.fallback_locations[key] = f"{line}:{column}"
-            else:
-                self.fallback_locations[key] = ""
+            self.fallbacks[kernel] = self.fallbacks.get(kernel, 0) + 1
+            self.fallback_reasons[kernel] = reason
+            self.fallback_locations[kernel] = \
+                "" if location is None else str(location)
 
     def record_jit_compile(self, kernel: str, seconds: float) -> None:
         with self._lock:
@@ -104,22 +95,15 @@ class ExecutionStats:
     def kernels(self) -> list[str]:
         names = {kernel for kernel, _ in self.runs}
         names.update(self.choices)
-        names.update(kernel for kernel, _ in self.fallbacks)
+        names.update(self.fallbacks)
         return sorted(names)
 
     def backend_for(self, kernel: str) -> str | None:
         choice = self.choices.get(kernel)
         return choice[0] if choice is not None else None
 
-    def fallback_count(self, kernel: str, tier: str | None = None) -> int:
-        """Fallbacks recorded for ``kernel`` — one tier, or all summed."""
-        if tier is not None:
-            return self.fallbacks.get((kernel, tier), 0)
-        return sum(count for (name, _t), count in self.fallbacks.items()
-                   if name == kernel)
-
-    def fallback_tiers(self, kernel: str) -> list[str]:
-        return sorted(t for (name, t) in self.fallbacks if name == kernel)
+    def fallback_count(self, kernel: str) -> int:
+        return self.fallbacks.get(kernel, 0)
 
     def speedup(self, kernel: str, backend: str = "jit") -> float | None:
         """``backend`` throughput over scalar throughput, when both ran."""
@@ -164,13 +148,12 @@ class ExecutionStats:
             ratio = self.speedup(kernel)
             if ratio is not None:
                 parts.append(f"speedup={ratio:.1f}x")
-            for tier in self.fallback_tiers(kernel):
-                key = (kernel, tier)
-                where = self.fallback_locations.get(key, "")
+            if kernel in self.fallbacks:
+                where = self.fallback_locations.get(kernel, "")
                 at = f" at {where}" if where else ""
                 parts.append(
-                    f"{tier}-fallbacks={self.fallbacks[key]} "
-                    f"({self.fallback_reasons.get(key, '')}{at})"
+                    f"jit-fallbacks={self.fallbacks[kernel]} "
+                    f"({self.fallback_reasons.get(kernel, '')}{at})"
                 )
             lines.append(f"execution[{kernel}]: " + "; ".join(parts))
         return "\n".join(lines)

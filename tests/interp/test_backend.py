@@ -145,10 +145,10 @@ class TestBackendResolution:
                 backend="jit")
             assert isinstance(executor, KernelExecutor)
             assert execution_stats.backend_for("helped") == "scalar"
-            assert execution_stats.fallback_count("helped", tier="jit") == 1
-            reason = execution_stats.fallback_reasons[("helped", "jit")]
+            assert execution_stats.fallback_count("helped") == 1
+            reason = execution_stats.fallback_reasons["helped"]
             assert "helper function 'twice'" in reason
-            assert execution_stats.fallback_locations[("helped", "jit")] \
+            assert execution_stats.fallback_locations["helped"] \
                 .startswith("5:")
         finally:
             execution_stats.reset()
@@ -182,7 +182,7 @@ class TestRuntimeFallback:
         try:
             executor.run()
             assert executor.used_fallback
-            assert execution_stats.fallbacks.get(("saxpy", "jit")) == 1
+            assert execution_stats.fallbacks.get("saxpy") == 1
             assert ("saxpy", "scalar") in execution_stats.runs
         finally:
             execution_stats.reset()

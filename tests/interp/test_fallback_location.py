@@ -41,16 +41,16 @@ def test_jit_decline_records_location():
     execute_kernel(source, {"a": a}, NDRange((8,), (4,)), backend="jit")
     try:
         assert a.tolist() == [2 * v for v in range(8)]
-        assert execution_stats.fallback_count("k", tier="jit") == 1
+        assert execution_stats.fallback_count("k") == 1
         assert execution_stats.backend_for("k") == "scalar"
-        location = execution_stats.fallback_locations.get(("k", "jit"))
+        location = execution_stats.fallback_locations.get("k")
         assert location == "4:17", location  # the helper call's span
         assert "at 4:17" in execution_stats.summary()
     finally:
         execution_stats.reset()
 
 
-def test_runtime_guard_records_fallback():
+def test_runtime_fallback_records_location():
     source = (
         "__kernel void sh(__global int* a, __global int* b, int s) {\n"
         "    int i = get_global_id(0);\n"
@@ -64,9 +64,12 @@ def test_runtime_guard_records_fallback():
     execute_kernel(source, {"a": a, "b": b, "s": 70},
                    NDRange((8,), (4,)), backend="jit")
     try:
-        assert execution_stats.fallback_count("sh", tier="jit") == 1
-        assert "shift" in execution_stats.fallback_reasons[("sh", "jit")]
+        assert execution_stats.fallback_count("sh") == 1
+        assert "shift" in execution_stats.fallback_reasons["sh"]
         assert ("sh", "scalar") in execution_stats.runs
+        location = execution_stats.fallback_locations.get("sh")
+        assert location == "3:17", location  # the << expression's span
+        assert "at 3:17" in execution_stats.summary()
     finally:
         execution_stats.reset()
 
@@ -74,22 +77,22 @@ def test_runtime_guard_records_fallback():
 def test_record_fallback_without_location():
     stats = ExecutionStats()
     stats.record_fallback("k", "why")
-    assert stats.fallback_locations[("k", "jit")] == ""
+    assert stats.fallback_locations["k"] == ""
     stats.reset()
     assert stats.fallback_locations == {}
 
 
-def test_fallbacks_keyed_per_tier():
-    """Regression: fallbacks of different tiers must not aggregate."""
+def test_fallbacks_keyed_per_kernel():
+    """Regression: fallbacks of different kernels must not aggregate."""
     stats = ExecutionStats()
-    stats.record_fallback("k", "helper call", tier="jit")
-    stats.record_fallback("k", "shift out of range", tier="other")
-    stats.record_fallback("k", "shift out of range", tier="other")
-    assert stats.fallback_count("k", tier="jit") == 1
-    assert stats.fallback_count("k", tier="other") == 2
-    assert stats.fallback_count("k") == 3
-    assert stats.fallback_tiers("k") == ["jit", "other"]
-    assert stats.fallback_reasons[("k", "jit")] == "helper call"
+    stats.record_fallback("k", "helper call")
+    stats.record_fallback("h", "shift out of range", "3:17")
+    stats.record_fallback("h", "shift out of range", "3:17")
+    assert stats.fallback_count("k") == 1
+    assert stats.fallback_count("h") == 2
+    assert stats.fallback_count("missing") == 0
+    assert stats.fallback_reasons["k"] == "helper call"
     summary = stats.summary()
-    assert "jit-fallbacks=1" in summary
-    assert "other-fallbacks=2" in summary
+    assert "execution[k]: jit-fallbacks=1 (helper call)" in summary
+    assert "execution[h]: jit-fallbacks=2 (shift out of range at 3:17)" \
+        in summary
