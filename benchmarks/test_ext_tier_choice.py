@@ -14,13 +14,27 @@ work dimension 2, in every data type and constant-factor count a seeded
 draw can pick, plus the 14 scaled registry kernels.  The guard also pins
 how many of them end on each tier.  It counts tiers and measures no time,
 so it is deterministic.  Run with ``-s`` to see the table.
+
+GPU shares are pinned too: Algorithm 1 at GPU-only, over the scaled
+registry kernels and the ATAX2/BICG1/MVT2 launches of perfbench's
+app-coexec (n=64, 8-item groups), must run every GPU chunk on the jit
+and never call the scalar interpreter.
 """
 
 import numpy as np
 import pytest
 
-from repro.interp import JitExecutor, make_executor
-from repro.workloads import SCALED_REAL_FACTORIES, make_synthetic
+from repro.core.scheduler import run_dynamic
+from repro.interp import JitExecutor, execution_stats, make_executor
+from repro.sim import DopSetting
+from repro.transform import make_malleable
+from repro.workloads import (
+    SCALED_REAL_FACTORIES,
+    make_atax2,
+    make_bicg1,
+    make_mvt2,
+    make_synthetic,
+)
 from repro.workloads.synthetic import (
     TABLE4_DTYPES,
     TABLE4_GAMMAS,
@@ -88,3 +102,40 @@ def test_tier_counts(tiers):
                  for tier, items in sorted(by_tier.items())])
     assert {tier: len(items) for tier, items in by_tier.items()} \
         == EXPECTED_TIERS
+
+
+#: GPU-share subjects: the scaled registry and app-coexec's launches.
+GPU_SHARE_FACTORIES = {
+    **SCALED_REAL_FACTORIES,
+    "app-coexec ATAX2": lambda: make_atax2(n=64, wg=8),
+    "app-coexec BICG1": lambda: make_bicg1(n=64, wg=8),
+    "app-coexec MVT2": lambda: make_mvt2(n=64, wg=8),
+}
+
+
+def test_gpu_shares_run_on_the_jit():
+    rows = []
+    for name, factory in GPU_SHARE_FACTORIES.items():
+        workload = factory()
+        info = workload.kernel_info()
+        execution_stats.reset()
+        try:
+            trace = run_dynamic(
+                info, make_malleable(info, work_dim=workload.work_dim),
+                workload.full_args(np.random.default_rng(0)),
+                workload.ndrange(),
+                DopSetting(cpu_threads=0, gpu_fraction=1.0),
+                backend="auto")
+            runs = {backend: counter.calls
+                    for (_, backend), counter in execution_stats.runs.items()}
+            fallbacks = sum(execution_stats.fallbacks.values())
+        finally:
+            execution_stats.reset()
+        rows.append([name, trace.gpu_chunks, runs.get("jit", 0),
+                     runs.get("scalar", 0), fallbacks])
+    print_table("GPU-only launches",
+                ["kernel", "gpu chunks", "jit runs", "scalar runs",
+                 "fallbacks"], rows)
+    for name, chunks, jit, scalar, fallbacks in rows:
+        assert chunks > 0 and jit == chunks, name
+        assert scalar == 0 and fallbacks == 0, name

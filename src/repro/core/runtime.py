@@ -3,8 +3,9 @@
 Installed as the :class:`repro.cl.Interposer`, the runtime
 
 * at **program build** (``clCreateProgramWithSource``): statically analyses
-  every kernel, extracts the Table-1 code features, and prepares the
-  malleable GPU and CPU variants (§5, §6);
+  every kernel, extracts the Table-1 code features, and decides whether
+  the kernel can be made malleable (§5, §6) — each variant is built at
+  the first launch of its work dimension that gives the GPU a share;
 * at **kernel launch** (``clEnqueueNDRangeKernel``): combines the static
   features with the launch geometry, evaluates the pre-trained ML model
   over all 44 DoP configurations, picks the predicted-best setting, and
@@ -39,6 +40,7 @@ from ..transform.cpu_codegen import CpuKernel, CpuTransformError, make_cpu_kerne
 from ..transform.gpu_malleable import (
     MalleableKernel,
     TransformError,
+    check_transformable,
     make_malleable,
     throttle_settings,
 )
@@ -91,12 +93,9 @@ class KernelArtifacts:
     """Per-kernel products of Dopia's compile-time pass."""
 
     static_features: StaticFeatures
-    #: malleable GPU variants per work dimension that passed the legality
-    #: gate (lazily generated)
+    #: malleable GPU variants per work dimension, each built at the first
+    #: GPU-share launch of that dimension, after the legality gate
     malleable: dict[int, MalleableKernel]
-    #: variants built before the gate ran: the 1-D one the build-time
-    #: transformability test made, moved to ``malleable`` at first launch
-    pending: dict[int, MalleableKernel]
     #: Figure-7 CPU variants per (work dimension, claim discipline)
     #: (lazily generated)
     cpu_codegen: dict[tuple[int, str], CpuKernel]
@@ -224,14 +223,13 @@ class DopiaRuntime(Interposer):
                 with tracer.span("dopia.analyze_kernel", "build", kernel=name):
                     features = extract_static_features(info)
                     try:
-                        pending = {1: make_malleable(info, work_dim=1)}
+                        check_transformable(info)
                         transformable, error = True, ""
                     except TransformError as exc:
-                        pending, transformable, error = {}, False, str(exc)
+                        transformable, error = False, str(exc)
                 program.interposer_data[name] = KernelArtifacts(
                     static_features=features,
                     malleable={},
-                    pending=pending,
                     cpu_codegen={},
                     transformable=transformable,
                     transform_error=error,
@@ -254,9 +252,8 @@ class DopiaRuntime(Interposer):
             with self._artifact_lock:
                 if work_dim not in artifacts.malleable:
                     self._verify_buildable(kernel)
-                    artifacts.malleable[work_dim] = (
-                        artifacts.pending.pop(work_dim, None)
-                        or make_malleable(kernel.info, work_dim=work_dim))
+                    artifacts.malleable[work_dim] = make_malleable(
+                        kernel.info, work_dim=work_dim)
         return artifacts.malleable[work_dim]
 
     @staticmethod
@@ -494,14 +491,15 @@ class DopiaRuntime(Interposer):
         # before any variant is even built — under raise, a RACE001 input
         # is refused outright instead of being transformed and scheduled.
         self._verify_admissible(kernel, ndrange)
-        malleable = self._malleable_for(kernel, ndrange.work_dim)
+        # Only a GPU share needs the malleable variant: a CPU-only launch
+        # neither builds nor verifies it.
+        malleable, mod, alloc = None, 1, 1
         if setting.uses_gpu:
+            malleable = self._malleable_for(kernel, ndrange.work_dim)
             mod, alloc = throttle_settings(
                 self.platform.gpu.pes_per_cu, setting.gpu_fraction
             )
-        else:
-            mod, alloc = 1, 1
-        self._verify_transformed(kernel, malleable, ndrange, mod, alloc)
+            self._verify_transformed(kernel, malleable, ndrange, mod, alloc)
         run_dynamic(
             kernel.info,
             malleable,

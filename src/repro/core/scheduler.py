@@ -7,16 +7,24 @@ operating on the *real* buffers through the interpreter:
 * each active CPU thread pulls **one work-group at a time** (pull-based,
   because CPUs have cheap atomics);
 * the GPU is **pushed chunks** of ``num_wgs / 10`` work-groups — Intel
-  iGPUs lack CPU–GPU global atomics, so the GPU cannot pull — executed
-  with the malleable kernel at the selected ``(dop_gpu_mod,
-  dop_gpu_alloc)`` throttle, using the ND-range global offset to address
-  the chunk (Figure 5 line 16 reads ``get_global_offset``);
+  iGPUs lack CPU–GPU global atomics, so the GPU cannot pull;
 * the loop repeats until the worklist is exhausted.
+
+On the modelled GPU a chunk runs the malleable kernel at the selected
+``(dop_gpu_mod, dop_gpu_alloc)`` throttle (§6).  Host execution is only
+the correctness half of the runtime — timing is
+:mod:`repro.sim.engine`'s job — so both devices' claims run on **one**
+executor built from the original kernel, and a GPU chunk is the original
+kernel over that chunk's group ids.  The malleable variant remains the
+artifact the legality gate verifies at the chosen throttle and the one
+the simulator prices; the differential suite runs it on the scalar
+oracle across the throttle grid and demands the original's bytes, which
+is what licenses running the original in its place (one task, the
+variant picked at placement).
 
 Functional execution is deterministic and every work-group is executed
 exactly once, whatever the interleaving — the invariant the test suite
-checks.  Timing is *not* modelled here (that is :mod:`repro.sim.engine`);
-this is the correctness half of the runtime.
+checks.
 """
 
 from __future__ import annotations
@@ -122,7 +130,7 @@ def _verify_legality(
 
 def run_dynamic(
     cpu_info: KernelInfo,
-    gpu_kernel: MalleableKernel,
+    gpu_kernel: MalleableKernel | None,
     args: dict[str, Any],
     ndrange: NDRange,
     setting: DopSetting,
@@ -134,14 +142,16 @@ def run_dynamic(
 ) -> ScheduleTrace:
     """Execute one launch with Algorithm 1's dynamic distribution.
 
-    ``cpu_info`` is the kernel the CPU threads run (work-group at a time —
-    semantically the original kernel); ``gpu_kernel`` is the malleable GPU
-    variant.  ``cpu_pulls_per_round`` models how many work-groups the CPU
-    side claims while one GPU chunk is in flight (any value yields a
-    correct execution; it only changes the split).  ``backend`` selects
-    the interpreter backend for the CPU side (the malleable GPU kernel is
-    never vectorizable — its local atomic worklist keeps it on the scalar
-    path).
+    ``cpu_info`` is the original kernel; ``gpu_kernel`` is its malleable
+    GPU variant, which the legality gate verifies at ``(dop_gpu_mod,
+    dop_gpu_alloc)`` when the GPU is active (a CPU-only launch may pass
+    ``None``).  Both devices' claims run on
+    one executor of the original kernel (see the module docstring), so a
+    GPU chunk takes the same compiled tier as the CPU's work-groups.
+    ``cpu_pulls_per_round`` models how many work-groups the CPU side
+    claims while one GPU chunk is in flight (any value yields a correct
+    execution; it only changes the split).  ``backend`` selects the
+    executor tier.
     """
     num_wgs = ndrange.total_groups
     worklist = AtomicWorklist(num_wgs)
@@ -155,17 +165,7 @@ def run_dynamic(
     _verify_legality(cpu_info, gpu_kernel if use_gpu else None, args,
                      ndrange, dop_gpu_mod, dop_gpu_alloc)
 
-    cpu_executor = (
-        make_executor(cpu_info, args, ndrange, backend=backend)
-        if use_cpu else None
-    )
-    gpu_executor = None
-    if use_gpu:
-        gpu_args = dict(args)
-        gpu_args[MOD_PARAM] = dop_gpu_mod
-        gpu_args[ALLOC_PARAM] = dop_gpu_alloc
-        gpu_executor = make_executor(
-            gpu_kernel.info, gpu_args, ndrange, backend=backend)
+    executor = make_executor(cpu_info, args, ndrange, backend=backend)
 
     chunk = max(1, num_wgs // max(1, chunk_divisor)) if use_gpu else 0
     pulls = cpu_pulls_per_round
@@ -186,7 +186,7 @@ def run_dynamic(
             # per-call overhead (output snapshot, lane setup) once
             # instead of once per work-group.
             worklist.fetch_add(num_wgs)
-            cpu_executor.run(
+            executor.run(
                 [ndrange.group_from_linear(g) for g in range(num_wgs)])
             trace.cpu_groups.extend(range(num_wgs))
             if traced:
@@ -199,7 +199,7 @@ def run_dynamic(
                 take = min(chunk, num_wgs - start)
                 if take > 0:
                     group_ids = [ndrange.group_from_linear(g) for g in range(start, start + take)]
-                    gpu_executor.run(group_ids)
+                    executor.run(group_ids)
                     trace.gpu_groups.extend(range(start, start + take))
                     trace.gpu_chunks += 1
                     if traced:
@@ -214,7 +214,7 @@ def run_dynamic(
                     group = worklist.fetch_add(1)
                     if group >= num_wgs:
                         break
-                    cpu_executor.run_group(ndrange.group_from_linear(group))
+                    executor.run_group(ndrange.group_from_linear(group))
                     trace.cpu_groups.append(group)
                 if traced and len(trace.cpu_groups) > pulled_from:
                     tracer.instant("schedule.cpu_pull", "schedule",
@@ -225,7 +225,7 @@ def run_dynamic(
 
 def run_dynamic_pull(
     cpu_info: KernelInfo,
-    gpu_kernel: MalleableKernel,
+    gpu_kernel: MalleableKernel | None,
     args: dict[str, Any],
     ndrange: NDRange,
     setting: DopSetting,
@@ -239,7 +239,8 @@ def run_dynamic_pull(
     On platforms with CPU–GPU global atomics both devices claim
     work-groups from the same worklist one (or a few) at a time; there is
     no chunk barrier.  Functionally every work-group still executes
-    exactly once.
+    exactly once, on one executor of the original kernel as in
+    :func:`run_dynamic`.
     """
     num_wgs = ndrange.total_groups
     worklist = AtomicWorklist(num_wgs)
@@ -248,17 +249,9 @@ def run_dynamic_pull(
     use_gpu = setting.uses_gpu
     if not use_cpu and not use_gpu:
         raise ValueError("at least one device must be active")
-    cpu_executor = (
-        make_executor(cpu_info, args, ndrange, backend=backend)
-        if use_cpu else None
-    )
-    gpu_executor = None
-    if use_gpu:
-        gpu_args = dict(args)
-        gpu_args[MOD_PARAM] = dop_gpu_mod
-        gpu_args[ALLOC_PARAM] = dop_gpu_alloc
-        gpu_executor = make_executor(
-            gpu_kernel.info, gpu_args, ndrange, backend=backend)
+    _verify_legality(cpu_info, gpu_kernel if use_gpu else None, args,
+                     ndrange, dop_gpu_mod, dop_gpu_alloc)
+    executor = make_executor(cpu_info, args, ndrange, backend=backend)
 
     traced = tracer.enabled
     with tracer.span(
@@ -274,7 +267,7 @@ def run_dynamic_pull(
                     if worklist.exhausted:
                         break
                     group = worklist.fetch_add(1)
-                    gpu_executor.run_group(ndrange.group_from_linear(group))
+                    executor.run_group(ndrange.group_from_linear(group))
                     trace.gpu_groups.append(group)
                 trace.gpu_chunks += 1
                 if traced:
@@ -286,7 +279,7 @@ def run_dynamic_pull(
                     if worklist.exhausted:
                         break
                     group = worklist.fetch_add(1)
-                    cpu_executor.run_group(ndrange.group_from_linear(group))
+                    executor.run_group(ndrange.group_from_linear(group))
                     trace.cpu_groups.append(group)
                 if traced and len(trace.cpu_groups) > pulled_from:
                     tracer.instant("schedule.cpu_pull", "schedule",
@@ -296,7 +289,7 @@ def run_dynamic_pull(
 
 def run_static(
     cpu_info: KernelInfo,
-    gpu_kernel: MalleableKernel,
+    gpu_kernel: MalleableKernel | None,
     args: dict[str, Any],
     ndrange: NDRange,
     setting: DopSetting,
@@ -305,13 +298,19 @@ def run_static(
     dop_gpu_alloc: int = 1,
     backend: str | None = None,
 ) -> ScheduleTrace:
-    """Execute with an a-priori static split (Figure 9's STATIC baseline)."""
+    """Execute with an a-priori static split (Figure 9's STATIC baseline).
+
+    Both shares run on one executor of the original kernel, as in
+    :func:`run_dynamic`.
+    """
     if not 0.0 <= cpu_share <= 1.0:
         raise ValueError("cpu_share must be in [0, 1]")
     num_wgs = ndrange.total_groups
     cpu_wgs = round(cpu_share * num_wgs) if setting.uses_cpu else 0
     if not setting.uses_gpu:
         cpu_wgs = num_wgs
+    _verify_legality(cpu_info, gpu_kernel if cpu_wgs < num_wgs else None,
+                     args, ndrange, dop_gpu_mod, dop_gpu_alloc)
     trace = ScheduleTrace()
     traced = tracer.enabled
     with tracer.span(
@@ -320,19 +319,14 @@ def run_static(
         cpu_threads=setting.cpu_threads, gpu_fraction=setting.gpu_fraction,
         cpu_share=cpu_share,
     ) if traced else NULL_SPAN:
+        executor = make_executor(cpu_info, args, ndrange, backend=backend)
         if cpu_wgs > 0:
-            executor = make_executor(cpu_info, args, ndrange, backend=backend)
             executor.run(ndrange.group_from_linear(g) for g in range(cpu_wgs))
             trace.cpu_groups.extend(range(cpu_wgs))
             if traced:
                 tracer.instant("schedule.static_cpu", "schedule",
                                start=0, count=cpu_wgs)
         if cpu_wgs < num_wgs:
-            gpu_args = dict(args)
-            gpu_args[MOD_PARAM] = dop_gpu_mod
-            gpu_args[ALLOC_PARAM] = dop_gpu_alloc
-            executor = make_executor(gpu_kernel.info, gpu_args, ndrange,
-                                     backend=backend)
             executor.run(ndrange.group_from_linear(g) for g in range(cpu_wgs, num_wgs))
             trace.gpu_groups.extend(range(cpu_wgs, num_wgs))
             trace.gpu_chunks = 1

@@ -4,15 +4,16 @@ The paper's Table-1 feature vector carries ``CPU_util``/``GPU_util``
 precisely so the model can pick a degree of parallelism *online*, under
 multiprogrammed co-execution.  This package is where those features come
 alive: N client sessions submit kernel launches concurrently into an
-admission queue, a device-load ledger tracks in-flight CPU-thread and
-GPU-PE occupancy, and every enqueue feeds the live load into
-:class:`repro.core.predictor.DopPredictor` so the chosen DoP adapts to
-contention.
+admission queue, a device-load ledger records CPU-thread and GPU-PE
+occupancy over simulated time, and every enqueue feeds the load at its
+arrival into :class:`repro.core.predictor.DopPredictor` so the chosen DoP
+adapts to contention.
 
 Components
 ----------
 :class:`~repro.serve.ledger.DeviceLoadLedger`
-    Thread-safe occupancy accounting (leases over CPU threads / GPU PEs).
+    Thread-safe occupancy accounting (leases over CPU threads / GPU PEs,
+    each over an interval of the server's virtual clock).
 :class:`~repro.serve.cache.PredictionCache`
     LRU over (feature vector, load bucket) keeping the hot path fast.
 :class:`~repro.serve.server.DopiaServer`

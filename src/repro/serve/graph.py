@@ -151,6 +151,7 @@ class TaskNode:
         "id", "label", "read_ranges", "write_ranges", "graph_id", "key",
         "pending", "dependents", "state", "error", "request", "parked",
         "dep_total", "submitted_at", "started_at", "finished_at",
+        "v_end", "v_ready",
     )
 
     def __init__(self, node_id: int, label: str,
@@ -173,6 +174,10 @@ class TaskNode:
         self.submitted_at = time.perf_counter()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
+        #: virtual-clock end of this launch's lease (set by the server)
+        self.v_end = 0.0
+        #: latest ``v_end`` among the launches this node waited on
+        self.v_ready = 0.0
 
     @property
     def deps(self) -> int:
@@ -243,7 +248,10 @@ class GraphScheduler:
                 if dep.state in (_FAILED, _POISONED):
                     poison_source = dep
                     break
-                if dep.state == _DONE or dep.id in node.pending:
+                if dep.state == _DONE:
+                    node.v_ready = max(node.v_ready, dep.v_end)
+                    continue
+                if dep.id in node.pending:
                     continue
                 node.pending[dep.id] = EXPLICIT
                 dep.dependents.append((node, EXPLICIT))
@@ -326,6 +334,7 @@ class GraphScheduler:
                     if child.state != _WAITING:
                         continue
                     child.pending.pop(failed.id, None)
+                    child.v_ready = max(child.v_ready, failed.v_end)
                     if kind in POISONING:
                         child.state = _POISONED
                         child.error = _poison_error(child, failed)
@@ -348,6 +357,7 @@ class GraphScheduler:
             if child.state != _WAITING:
                 continue
             child.pending.pop(node.id, None)
+            child.v_ready = max(child.v_ready, node.v_end)
             if not child.pending:
                 child.state = _READY
                 ready.append(child)

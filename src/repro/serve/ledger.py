@@ -1,12 +1,25 @@
-"""Device-load ledger: who holds the integrated processor right now.
+"""Device-load ledger: who holds the integrated processor, and when.
 
-On an integrated CPU/GPU both devices are shared by every in-flight
-launch.  The ledger is the serving layer's single source of truth for
-*current* occupancy: each admitted launch acquires a :class:`Lease` for
-the CPU threads and the GPU-PE fraction its chosen configuration uses,
-and releases it on completion.  Snapshots of the normalised occupancy
-feed the predictor's ``CPU_util``/``GPU_util`` features (Table 1) so the
-next enqueue sees the machine as it actually is.
+On an integrated CPU/GPU both devices are shared by every launch in
+service.  The ledger is the serving layer's single source of truth for
+occupancy: each admitted launch records a :class:`Lease` for the CPU
+threads and the GPU-PE fraction its chosen configuration uses, over the
+interval of **simulated** time it occupies the modelled processor —
+``[v_start, v_end)`` on the server's virtual clock, where ``v_end`` is
+``v_start`` plus the launch's modelled service time.  Snapshots of the
+normalised occupancy at one virtual instant feed the predictor's
+``CPU_util``/``GPU_util`` features (Table 1), so the load a launch sees is
+the modelled machine's, not how fast the host happens to execute.
+
+A lease acquired without an end (a planted co-runner) covers every
+instant from its start until it is released.  Leases that ended before
+the smallest clock a future admission can carry are pruned
+(:meth:`DeviceLoadLedger.prune`), which keeps the store bounded.
+
+Separately, every lease counts as *in flight* from :meth:`acquire` to
+:meth:`release` in host terms: :attr:`DeviceLoadLedger.in_flight`,
+:attr:`~DeviceLoadLedger.waiting` and :attr:`~DeviceLoadLedger.drained`
+are drain bookkeeping, independent of the virtual clock.
 
 The ledger never blocks and never rejects: admission control is the
 predictor's feasibility mask (infeasible configurations are not chosen
@@ -19,8 +32,10 @@ and capped at 1.0 only in snapshots.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from dataclasses import dataclass
+from typing import Optional
 
 from ..sim.engine import DopSetting
 from ..sim.platforms import Platform
@@ -36,9 +51,9 @@ LOAD_BUCKETS = 8
 class LoadSnapshot:
     """Normalised occupancy of both devices at one instant."""
 
-    cpu_util: float          #: in-flight CPU threads / hardware threads, capped at 1
-    gpu_util: float          #: sum of in-flight GPU-PE fractions, capped at 1
-    in_flight: int           #: number of live leases
+    cpu_util: float          #: leased CPU threads / hardware threads, capped at 1
+    gpu_util: float          #: sum of leased GPU-PE fractions, capped at 1
+    in_flight: int           #: number of leases covering the instant
     #: launches parked behind graph dependencies (no lease held); not part
     #: of the prediction cache key — parked work consumes no capacity
     waiting: int = 0
@@ -64,29 +79,41 @@ class LoadSnapshot:
 
 @dataclass(frozen=True)
 class Lease:
-    """One launch's hold on device capacity (opaque to callers)."""
+    """One launch's hold on device capacity over ``[start, end)``.
+
+    ``start``/``end`` are virtual-clock seconds; ``end`` is infinite for
+    a lease held open until :meth:`DeviceLoadLedger.release`.
+    """
 
     token: int
     cpu_threads: int
     gpu_fraction: float
+    start: float = 0.0
+    end: float = math.inf
+
+    def covers(self, at: float) -> bool:
+        """Whether the lease holds its capacity at virtual instant ``at``
+        (an open lease holds it at every instant from its start on)."""
+        return self.start <= at and (at < self.end or self.end == math.inf)
 
 
 class DeviceLoadLedger:
-    """Thread-safe in-flight occupancy accounting for one platform.
+    """Thread-safe occupancy accounting for one platform, on virtual time.
 
     All mutation happens under one short lock; there is no blocking and no
     waiting — :meth:`acquire` always succeeds (see module docstring).
-    ``peak_cpu_util``/``peak_gpu_util`` record the high-water marks
-    (un-capped, so oversubscription is visible to the benchmark report).
+    ``peak_cpu_util``/``peak_gpu_util`` record the high-water marks of
+    occupancy over virtual time (un-capped, so oversubscription is
+    visible to the benchmark report).
     """
 
     def __init__(self, platform: Platform):
         self.platform = platform
         self._lock = threading.Lock()
         self._tokens = itertools.count()
-        self._live: dict[int, Lease] = {}
-        self._cpu_threads = 0       #: sum of leased CPU threads
-        self._gpu_fraction = 0.0    #: sum of leased GPU-PE fractions
+        self._leases: dict[int, Lease] = {}   #: recorded intervals
+        self._held: set[int] = set()          #: acquired, not yet released
+        self._horizon = 0.0         #: latest finite lease end recorded
         self.peak_cpu_util = 0.0
         self.peak_gpu_util = 0.0
         self.total_leases = 0
@@ -94,33 +121,59 @@ class DeviceLoadLedger:
 
     # -- leasing -------------------------------------------------------------
 
-    def acquire(self, setting: DopSetting) -> Lease:
-        """Record ``setting``'s occupancy; returns the lease to release."""
+    def acquire(self, setting: DopSetting, start: float = 0.0,
+                end: Optional[float] = None) -> Lease:
+        """Record ``setting``'s occupancy over ``[start, end)``.
+
+        Without ``end`` the lease stays open until released.  Returns the
+        lease to :meth:`release` once the launch leaves service.
+        """
         with self._lock:
             lease = Lease(
                 token=next(self._tokens),
                 cpu_threads=setting.cpu_threads,
                 gpu_fraction=setting.gpu_fraction,
+                start=start,
+                end=math.inf if end is None else end,
             )
-            self._live[lease.token] = lease
-            self._cpu_threads += lease.cpu_threads
-            self._gpu_fraction += lease.gpu_fraction
+            self._leases[lease.token] = lease
+            self._held.add(lease.token)
             self.total_leases += 1
-            self.peak_cpu_util = max(self.peak_cpu_util, self._raw_cpu_util())
-            self.peak_gpu_util = max(self.peak_gpu_util, self._gpu_fraction)
+            if end is not None:
+                self._horizon = max(self._horizon, end)
+            # occupancy only steps up where a lease starts: the peak over
+            # the new interval is at its start or another lease's inside it
+            for at in {lease.start, *(other.start
+                                      for other in self._leases.values()
+                                      if lease.covers(other.start))}:
+                threads, fraction, _ = self._occupancy(at)
+                self.peak_cpu_util = max(self.peak_cpu_util,
+                                         self._cpu_util(threads))
+                self.peak_gpu_util = max(self.peak_gpu_util, fraction)
             return lease
 
     def release(self, lease: Lease) -> None:
-        """Return a lease's capacity; double release raises ``KeyError``."""
+        """The launch left service; an open-ended lease also ends here.
+
+        Double release raises ``KeyError``.  A lease with an end keeps its
+        interval until :meth:`prune` drops it.
+        """
         with self._lock:
-            live = self._live.pop(lease.token)
-            self._cpu_threads -= live.cpu_threads
-            self._gpu_fraction -= live.gpu_fraction
-            # exact-int CPU accounting can't drift; float GPU fractions can
-            # accumulate representation error, so clamp an empty ledger home
-            if not self._live:
-                self._cpu_threads = 0
-                self._gpu_fraction = 0.0
+            self._held.remove(lease.token)
+            if lease.end == math.inf:
+                self._leases.pop(lease.token, None)
+
+    def prune(self, floor: float) -> None:
+        """Drop leases that end at or before ``floor``.
+
+        ``floor`` must be no later than any instant a future snapshot
+        asks about; such a lease can no longer cover one.
+        """
+        with self._lock:
+            expired = [token for token, lease in self._leases.items()
+                       if lease.end <= floor]
+            for token in expired:
+                del self._leases[token]
 
     def note_waiting(self, delta: int) -> None:
         """Track launches parked behind graph dependencies (no lease).
@@ -136,24 +189,51 @@ class DeviceLoadLedger:
 
     # -- queries -------------------------------------------------------------
 
-    def _raw_cpu_util(self) -> float:
-        threads = max(1, self.platform.cpu.threads)
-        return self._cpu_threads / threads
+    def _cpu_util(self, threads: int) -> float:
+        return threads / max(1, self.platform.cpu.threads)
 
-    def snapshot(self) -> LoadSnapshot:
-        """Current occupancy, capped at 1.0 per device."""
+    def _occupancy(self, at: float) -> tuple[int, float, int]:
+        """(CPU threads, GPU fraction, leases) covering ``at``."""
+        threads, fraction, count = 0, 0.0, 0
+        for lease in self._leases.values():
+            if lease.covers(at):
+                threads += lease.cpu_threads
+                fraction += lease.gpu_fraction
+                count += 1
+        return threads, fraction, count
+
+    def snapshot(self, at: float = math.inf) -> LoadSnapshot:
+        """Occupancy at virtual instant ``at``, capped at 1.0 per device.
+
+        The default asks after every recorded end, where only leases held
+        open count.
+        """
         with self._lock:
+            threads, fraction, count = self._occupancy(at)
             return LoadSnapshot(
-                cpu_util=min(1.0, self._raw_cpu_util()),
-                gpu_util=min(1.0, self._gpu_fraction),
-                in_flight=len(self._live),
+                cpu_util=min(1.0, self._cpu_util(threads)),
+                gpu_util=min(1.0, fraction),
+                in_flight=count,
                 waiting=self._waiting,
             )
 
     @property
-    def in_flight(self) -> int:
+    def horizon(self) -> float:
+        """The latest finite lease end recorded (0.0 before any)."""
         with self._lock:
-            return len(self._live)
+            return self._horizon
+
+    @property
+    def recorded(self) -> int:
+        """Lease intervals currently stored (bounded by :meth:`prune`)."""
+        with self._lock:
+            return len(self._leases)
+
+    @property
+    def in_flight(self) -> int:
+        """Leases acquired and not yet released (host time)."""
+        with self._lock:
+            return len(self._held)
 
     @property
     def waiting(self) -> int:
@@ -162,6 +242,6 @@ class DeviceLoadLedger:
 
     @property
     def drained(self) -> bool:
-        """True when no lease is live and nothing is parked."""
+        """True when no lease is held and nothing is parked."""
         with self._lock:
-            return not self._live and self._waiting == 0
+            return not self._held and self._waiting == 0

@@ -2,21 +2,33 @@
 
 ``DopiaServer`` turns the single-client :class:`repro.core.DopiaRuntime`
 launch path into a concurrent service.  N client sessions submit launches
-into one admission queue; a pool of worker threads drains it.  For every
-launch a worker
+into one admission queue; a pool of worker threads drains it.
 
-1. snapshots the :class:`~repro.serve.ledger.DeviceLoadLedger` and feeds
-   the live (bucketed) ``CPU_util``/``GPU_util`` into
-   :meth:`DopPredictor.select <repro.core.predictor.DopPredictor.select>`
+Occupancy is kept on a server-wide **virtual clock** of simulated
+seconds, so the load a launch sees is the modelled machine's and does not
+depend on how fast the host executes.  Every session has a clock: it
+opens at the latest lease end the ledger has recorded and advances to the
+end of each of its launches' leases.  A launch *arrives* at the later of
+its session's clock at submit and the lease end of every launch it waited
+on (graph edges and hazards).  For every launch a worker
+
+1. snapshots the :class:`~repro.serve.ledger.DeviceLoadLedger` at the
+   arrival instant and feeds the (bucketed) ``CPU_util``/``GPU_util``
+   into :meth:`DopPredictor.select <repro.core.predictor.DopPredictor.select>`
    — through the LRU :class:`~repro.serve.cache.PredictionCache` — so the
    chosen DoP adapts to contention;
-2. acquires a ledger lease for the chosen configuration;
-3. executes the launch functionally (Algorithm 1 via
+2. simulates the chosen configuration on the performance model (through
+   the simulation cache), charging a contention slowdown
+   (:mod:`repro.sim.contention`) for capacity the launch shares with the
+   load it saw; the result is the launch's modelled service time;
+3. records a lease for the configuration over ``[arrival, arrival +
+   service time)`` on the virtual clock;
+4. executes the launch functionally (Algorithm 1 via
    :func:`repro.core.scheduler.run_dynamic`, mutating the client's real
-   buffers) and/or on the performance model, charging a contention
-   slowdown (:mod:`repro.sim.contention`) for capacity the launch shares
-   with the background load it saw at admission;
-4. releases the lease and resolves the client's :class:`LaunchHandle`.
+   buffers);
+5. releases the lease (its interval stays recorded until no future
+   arrival can fall inside it) and resolves the client's
+   :class:`LaunchHandle`.
 
 Launches are not assumed independent: every submission is hazard-matched
 against in-flight launches by the :class:`~repro.serve.graph.GraphScheduler`
@@ -85,7 +97,7 @@ from .graph import (
     buffer_ranges,
     topological_order,
 )
-from .ledger import LOAD_BUCKETS, DeviceLoadLedger, LoadSnapshot
+from .ledger import LOAD_BUCKETS, DeviceLoadLedger, Lease, LoadSnapshot
 
 __all__ = [
     "ClientSession", "DependencyFailedError", "DopiaServer", "GraphCycleError",
@@ -139,7 +151,7 @@ class ServeResult:
     session: str
     seq: int
     prediction: Prediction
-    load: LoadSnapshot            #: ledger occupancy seen at admission
+    load: LoadSnapshot            #: ledger occupancy at the virtual arrival
     cache_hit: bool
     trace: Optional[ScheduleTrace]   #: functional schedule (None if sim-only)
     sim: Optional[ExecutionResult]
@@ -269,6 +281,8 @@ class _Request:
     handle: LaunchHandle
     submitted_at: float
     node: Optional[TaskNode] = None
+    #: the session's virtual clock at submit (a lower bound on arrival)
+    v_submit: float = 0.0
 
 
 _STOP = object()
@@ -330,6 +344,9 @@ class ClientSession:
         self.server = server
         self.name = name
         self._seq = itertools.count()
+        #: virtual clock: the latest lease end among this session's
+        #: launches, or the ledger's horizon when the session opened
+        self._clock = 0.0
 
     def launch(
         self,
@@ -392,12 +409,11 @@ class DopiaServer:
     cache_size:
         LRU capacity of the prediction cache.
     dwell_scale / dwell_cap_s:
-        When ``dwell_scale > 0`` a worker *holds its ledger lease* for
-        ``min(dwell_cap_s, service_time_s * dwell_scale)`` wall seconds,
-        emulating device occupancy for the simulated platform — this is
-        what makes background load visible to concurrent enqueues in
-        benchmark mode, where functional execution (whose real runtime
-        otherwise plays that role) is off.
+        When ``dwell_scale > 0`` a worker holds its ledger lease for
+        ``min(dwell_cap_s, service_time_s * dwell_scale)`` more wall
+        seconds before releasing it.  The load launches see is on the
+        virtual clock and does not depend on it; the dwell only stretches
+        the host-time ``in_flight`` window.
     online:
         Enable the retraining loop (:mod:`repro.ml.online`): every served
         launch with a modelled time is ingested as an observation, and
@@ -475,6 +491,12 @@ class DopiaServer:
         self._prepare_lock = threading.Lock()
         self._session_lock = threading.Lock()
         self._session_names: set[str] = set()
+        #: guards the virtual clocks: open sessions (held weakly, so a
+        #: dropped session stops pinning the lease-pruning floor) and the
+        #: submit-time clocks of launches not yet leased, by node id
+        self._clock_lock = threading.Lock()
+        self._sessions: weakref.WeakSet = weakref.WeakSet()
+        self._unleased: dict[int, float] = {}
         self._closed = False
         self.online: Optional[OnlineLoop] = None
         self._retrain_stop: Optional[threading.Event] = None
@@ -613,7 +635,11 @@ class DopiaServer:
             if name in self._session_names:
                 raise ValueError(f"session name {name!r} already in use")
             self._session_names.add(name)
-        return ClientSession(self, name)
+        session = ClientSession(self, name)
+        with self._clock_lock:
+            session._clock = self.ledger.horizon
+            self._sessions.add(session)
+        return session
 
     def _submit(self, session: ClientSession, workload: Workload,
                 args: dict[str, Any], *,
@@ -640,6 +666,8 @@ class DopiaServer:
             handle=handle, submitted_at=time.perf_counter(), node=node,
         )
         node.request = request
+        with self._clock_lock:
+            request.v_submit = self._unleased[node.id] = session._clock
         explicit = [h.node for h in after if h.node is not None]
         self.stats.record_submit()
         if tracer.enabled:
@@ -659,6 +687,7 @@ class DopiaServer:
                                seq=seq, kernel=workload.kernel_name,
                                deps=node.deps)
         else:  # poisoned at admission: an explicit dependency already failed
+            self._forget_arrival(node)
             self.stats.record_dep_failure()
             handle._fail(node.error)
         return handle
@@ -919,6 +948,42 @@ class DopiaServer:
             fairness=self.platform.arbitration_fairness,
         )
 
+    # -- virtual clock ----------------------------------------------------------
+
+    @staticmethod
+    def _arrival(request: _Request) -> float:
+        """Virtual instant a launch arrives: the later of its session's
+        clock at submit and the lease end of every launch it waited on."""
+        node = request.node
+        return request.v_submit if node is None else max(request.v_submit,
+                                                         node.v_ready)
+
+    def _lease(self, request: _Request, setting, start: float,
+               end: float) -> Lease:
+        """Record ``setting``'s lease over ``[start, end)`` and move the
+        clocks: the launch's node and session end there, and leases no
+        future arrival can fall inside are dropped."""
+        lease = self.ledger.acquire(setting, start=start, end=end)
+        session = request.handle._client
+        with self._clock_lock:
+            if request.node is not None:
+                request.node.v_end = end
+                self._unleased.pop(request.node.id, None)
+            session._clock = max(session._clock, end)
+            # every future arrival is at or after some open session's
+            # clock or some unleased launch's submit-time clock
+            floor = min(itertools.chain(
+                (other._clock for other in self._sessions),
+                self._unleased.values()))
+        self.ledger.prune(floor)
+        return lease
+
+    def _forget_arrival(self, node: TaskNode) -> None:
+        """A launch settled without a lease: it no longer holds the
+        pruning floor down."""
+        with self._clock_lock:
+            self._unleased.pop(node.id, None)
+
     # -- online retraining ------------------------------------------------------
 
     def _online_ingest(self, meta: _LaunchMeta, result: ServeResult,
@@ -1031,28 +1096,33 @@ class DopiaServer:
 
     def _worker_loop(self) -> None:
         while True:
-            item = self._queue.get()
-            if item is _STOP:
+            request = self._queue.get()
+            if request is _STOP:
                 return
-            request: _Request = item
-            node = request.node
+            self._run(request)
+            # an idle worker must not keep the last client's session alive
+            del request
+
+    def _run(self, request: _Request) -> None:
+        """Serve one request and settle its graph node and handle."""
+        node = request.node
+        if node is not None:
+            self.graph.note_start(node)
+        try:
+            result = self._serve(request)
+        except BaseException as error:  # noqa: BLE001 - delivered to client
+            self.stats.record_failure()
             if node is not None:
-                self.graph.note_start(node)
-            try:
-                result = self._serve(request)
-            except BaseException as error:  # noqa: BLE001 - delivered to client
-                self.stats.record_failure()
-                if node is not None:
-                    self._settle_failure(node, error)
-                request.handle._fail(error)
-            else:
-                # Graph settles before the handle resolves: a client that
-                # waits on result() then resubmits can never observe its
-                # completed predecessor as still live.
-                if node is not None:
-                    for ready in self.graph.complete(node):
-                        self._dispatch(ready)
-                request.handle._resolve(result)
+                self._settle_failure(node, error)
+            request.handle._fail(error)
+        else:
+            # Graph settles before the handle resolves: a client that
+            # waits on result() then resubmits can never observe its
+            # completed predecessor as still live.
+            if node is not None:
+                for ready in self.graph.complete(node):
+                    self._dispatch(ready)
+            request.handle._resolve(result)
 
     def _dispatch(self, node: TaskNode) -> None:
         """A parked launch's last dependency completed: queue it."""
@@ -1073,9 +1143,11 @@ class DopiaServer:
         launch's input — are released to run.
         """
         ready, poisoned = self.graph.fail(node, error)
+        self._forget_arrival(node)
         for runnable in ready:
             self._dispatch(runnable)
         for victim in poisoned:
+            self._forget_arrival(victim)
             self.ledger.note_waiting(-1)
             self.stats.record_dep_failure()
             if tracer.enabled:
@@ -1109,7 +1181,8 @@ class DopiaServer:
                         f"{error}") from error
                 self._verify_admission(prepared, ndrange, request.args)
 
-                load = self.ledger.snapshot()
+                arrival = self._arrival(request)
+                load = self.ledger.snapshot(at=arrival)
                 with tracer.span("serve.predict", "predict",
                                  kernel=workload.kernel_name) if traced else NULL_SPAN:
                     prediction, cache_hit, bucketed = self._predict(
@@ -1137,7 +1210,29 @@ class DopiaServer:
                         cache_hit=cache_hit, adapted=adapted,
                     )
 
-                lease = self.ledger.acquire(setting)
+                sim = None
+                if self.simulate:
+                    with tracer.span("serve.simulate", "sim",
+                                     kernel=workload.kernel_name) if traced else NULL_SPAN:
+                        sim_key = (
+                            workload.kernel_name, workload.source,
+                            ndrange.total_work_items,
+                            ndrange.work_items_per_group, ndrange.work_dim,
+                            meta.scalars_key,
+                            setting.cpu_threads, setting.gpu_fraction,
+                        )
+                        sim, _ = self.sim_cache.get_or_compute(
+                            sim_key,
+                            lambda: self._simulate(prepared, workload,
+                                                   ndrange, meta.scalars,
+                                                   setting),
+                        )
+                slowdown = self._contention_slowdown(prediction, bucketed)
+                service_time = ((sim.time_s * slowdown) if sim is not None
+                                else 0.0) + prediction.inference_cost_s
+
+                lease = self._lease(request, setting, arrival,
+                                    arrival + service_time)
                 try:
                     trace = None
                     if self.functional:
@@ -1160,26 +1255,6 @@ class DopiaServer:
                                 chunk_divisor=self.chunk_divisor,
                                 backend=self.backend,
                             )
-                    sim = None
-                    if self.simulate:
-                        with tracer.span("serve.simulate", "sim",
-                                         kernel=workload.kernel_name) if traced else NULL_SPAN:
-                            sim_key = (
-                                workload.kernel_name, workload.source,
-                                ndrange.total_work_items,
-                                ndrange.work_items_per_group, ndrange.work_dim,
-                                meta.scalars_key,
-                                setting.cpu_threads, setting.gpu_fraction,
-                            )
-                            sim, _ = self.sim_cache.get_or_compute(
-                                sim_key,
-                                lambda: self._simulate(prepared, workload,
-                                                       ndrange, meta.scalars,
-                                                       setting),
-                            )
-                    slowdown = self._contention_slowdown(prediction, bucketed)
-                    service_time = ((sim.time_s * slowdown) if sim is not None
-                                    else 0.0) + prediction.inference_cost_s
                     if self.dwell_scale > 0.0:
                         time.sleep(self.dwell_cap_s if sim is None else
                                    min(self.dwell_cap_s,

@@ -110,6 +110,27 @@ def _dynamic_global_id(dim: int, work_dim: int) -> ast.Expr:
     return rw.binop("+", base, _dynamic_local_index(dim, work_dim))
 
 
+def check_transformable(info: KernelInfo) -> None:
+    """The transform's refusal checks, without rewriting anything.
+
+    Raises :class:`TransformError` exactly when :func:`make_malleable`
+    would refuse ``info`` at every work dimension, so a build can decide
+    transformability before any launch fixes the dimension to build for.
+    """
+    for name in _RESERVED:
+        if name in info.symbols:
+            raise TransformError(
+                f"kernel already defines reserved name {name!r}"
+            )
+    if info.uses_barrier:
+        raise TransformError(
+            "kernels with work-group barriers cannot be throttled: the "
+            "masked-off work-items would never reach the barrier"
+        )
+    if rw.return_in_loop(info.kernel.body):
+        raise TransformError(rw.RETURN_IN_LOOP)
+
+
 def make_malleable(
     kernel_or_source: ast.FunctionDef | str | KernelInfo,
     work_dim: int,
@@ -140,16 +161,7 @@ def make_malleable(
     else:
         kernel = kernel_or_source
         original_info = analyze_kernel(kernel)
-    for name in _RESERVED:
-        if name in original_info.symbols:
-            raise TransformError(
-                f"kernel already defines reserved name {name!r}"
-            )
-    if original_info.uses_barrier:
-        raise TransformError(
-            "kernels with work-group barriers cannot be throttled: the "
-            "masked-off work-items would never reach the barrier"
-        )
+    check_transformable(original_info)
 
     new_kernel = rw.clone(kernel)
     assert isinstance(new_kernel, ast.FunctionDef)

@@ -112,9 +112,27 @@ def substitute_calls(
     return rewrite(clone(node))
 
 
-def end_item_on_return(
-    stmt: ast.Stmt, error: type[Exception], in_loop: bool = False
-) -> ast.Stmt:
+#: Why a ``return`` inside one of the kernel's own loops is refused.
+RETURN_IN_LOOP = ("a return inside a loop cannot be confined to one work "
+                  "item of the transformed kernel's item loop")
+
+
+def return_in_loop(stmt: ast.Stmt, in_loop: bool = False) -> bool:
+    """Whether ``stmt`` holds a ``return`` inside one of its own loops."""
+    if isinstance(stmt, ast.Return):
+        return in_loop
+    if isinstance(stmt, ast.Block):
+        return any(return_in_loop(s, in_loop) for s in stmt.body)
+    if isinstance(stmt, ast.If):
+        return return_in_loop(stmt.then, in_loop) or (
+            stmt.otherwise is not None
+            and return_in_loop(stmt.otherwise, in_loop))
+    if isinstance(stmt, (ast.For, ast.While, ast.DoWhile)):
+        return return_in_loop(stmt.body, in_loop=True)
+    return False
+
+
+def end_item_on_return(stmt: ast.Stmt, error: type[Exception]) -> ast.Stmt:
     """Make a body-level ``return`` end one work item, not the whole loop.
 
     Both transformations run the kernel body inside a loop over work
@@ -125,19 +143,20 @@ def end_item_on_return(
     would resume that inner loop), so it raises ``error``.  Rewrites
     ``stmt`` in place; pass a copy.
     """
+    if return_in_loop(stmt):
+        raise error(RETURN_IN_LOOP)
+    return _return_to_continue(stmt)
+
+
+def _return_to_continue(stmt: ast.Stmt) -> ast.Stmt:
     if isinstance(stmt, ast.Return):
-        if in_loop:
-            raise error("a return inside a loop cannot be confined to one "
-                        "work item of the transformed kernel's item loop")
         return ast.Continue(location=stmt.location)
     if isinstance(stmt, ast.Block):
-        stmt.body = [end_item_on_return(s, error, in_loop) for s in stmt.body]
+        stmt.body = [_return_to_continue(s) for s in stmt.body]
     elif isinstance(stmt, ast.If):
-        stmt.then = end_item_on_return(stmt.then, error, in_loop)
+        stmt.then = _return_to_continue(stmt.then)
         if stmt.otherwise is not None:
-            stmt.otherwise = end_item_on_return(stmt.otherwise, error, in_loop)
-    elif isinstance(stmt, (ast.For, ast.While, ast.DoWhile)):
-        stmt.body = end_item_on_return(stmt.body, error, in_loop=True)
+            stmt.otherwise = _return_to_continue(stmt.otherwise)
     return stmt
 
 

@@ -37,8 +37,8 @@ def runtime(trained_runtime):
 
 
 def build_and_launch(runtime):
-    """Build, verify and launch the kernel, and generate its CPU variant;
-    returns weak references to the three infos."""
+    """Build, verify and launch the kernel, and generate its malleable
+    and CPU variants; returns weak references to the three infos."""
     ctx = cl.create_context("kaveri")
     queue = cl.create_command_queue(ctx)
     a, b = np.arange(64.0), np.zeros(64)
@@ -48,8 +48,8 @@ def build_and_launch(runtime):
         kernel.set_args(ctx.create_buffer(a), ctx.create_buffer(b), 8)
         queue.enqueue_nd_range_kernel(kernel, (8, 8), (4, 4))
         cpu = runtime.cpu_variant(kernel, 2, ndrange=NDRange((8, 8), (4, 4)))
+        malleable = runtime._malleable_for(kernel, 2)
     assert np.allclose(b, 2.0 * a)
-    malleable = runtime._artifacts(kernel).malleable[2]
     infos = (kernel.info, malleable.info, cpu.info)
     for info in infos:
         launch_rw_summary(info)

@@ -9,6 +9,8 @@ kernels pass through unchanged, and the default ``off`` policy keeps
 everything as permissive as before.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,12 +82,15 @@ class TestRuntimeGate:
         assert "RACE001" in capsys.readouterr().err
 
 
-#: (source, kernel name, global size, local size) of a launch whose
-#: variant the build made, and of one whose variant is built lazily
+#: (source, kernel name, global size, local size) of a 1-D and a 2-D
+#: launch; each variant is built at its first launch
 LAUNCHES = {
-    "1-D build-time variant": (CLEAN, "ok", (64,), (16,)),
-    "2-D lazy variant": (TILED, "tiled", (8, 8), (4, 4)),
+    "1-D variant": (CLEAN, "ok", (64,), (16,)),
+    "2-D variant": (TILED, "tiled", (8, 8), (4, 4)),
 }
+
+MIXED = DopSetting(cpu_threads=2, gpu_fraction=0.5)
+CPU_ONLY = DopSetting(cpu_threads=2, gpu_fraction=0.0)
 
 
 def build(runtime, launch):
@@ -108,9 +113,10 @@ def build(runtime, launch):
 
 
 class TestBuildTimeVariant:
-    """The 1-D malleable variant the build's transformability test makes
-    is the one the first 1-D launch runs, and it waits behind the
-    ``verify_kernel`` gate like a lazily built variant does."""
+    """The build decides transformability without transforming; the
+    first launch with a GPU share builds the variant for its own work
+    dimension, once, behind the ``verify_kernel`` gate.  A CPU-only
+    launch runs no variant and builds none."""
 
     @pytest.fixture
     def transforms(self, monkeypatch):
@@ -125,20 +131,50 @@ class TestBuildTimeVariant:
         monkeypatch.setattr(runtime_module, "make_malleable", counting)
         return calls
 
+    @pytest.fixture
+    def place(self, trained_runtime, monkeypatch):
+        """Pin the runtime's choice to the configuration with a setting."""
+        predictor = trained_runtime.predictor
+        real = predictor.select
+
+        def pin(setting):
+            config = next(c for c in predictor.configs
+                          if c.setting == setting)
+            monkeypatch.setattr(
+                predictor, "select",
+                lambda *a, **k: replace(real(*a, **k), config=config))
+
+        return pin
+
     def test_build_and_first_launch_transform_once(self, trained_runtime,
-                                                   transforms):
-        launch, kernel, buffer = build(trained_runtime,
-                                       "1-D build-time variant")
-        launch()
-        launch()
-        assert np.array_equal(buffer, np.arange(64.0))
-        assert transforms == [1]
-        artifacts = trained_runtime._artifacts(kernel)
-        assert list(artifacts.malleable) == [1] and not artifacts.pending
+                                                   transforms, place):
+        place(MIXED)
+        for launch, (_, _, global_size, _) in LAUNCHES.items():
+            transforms.clear()
+            launch_once, kernel, buffer = build(trained_runtime, launch)
+            assert transforms == [], launch
+            launch_once()
+            launch_once()
+            assert buffer.any(), launch
+            work_dim = len(global_size)
+            assert transforms == [work_dim], launch
+            artifacts = trained_runtime._artifacts(kernel)
+            assert artifacts.transformable
+            assert list(artifacts.malleable) == [work_dim]
+
+    def test_cpu_only_launch_builds_no_variant(self, trained_runtime,
+                                               transforms, place):
+        place(CPU_ONLY)
+        for launch in LAUNCHES:
+            launch_once, kernel, buffer = build(trained_runtime, launch)
+            launch_once()
+            assert buffer.any(), launch
+            assert trained_runtime._artifacts(kernel).malleable == {}
+        assert transforms == []
 
     @pytest.mark.parametrize("launch", list(LAUNCHES))
     def test_raise_refuses_convicted_kernel_before_any_variant(
-            self, trained_runtime, monkeypatch, transforms, launch):
+            self, trained_runtime, monkeypatch, transforms, place, launch):
         """The kernel is built under ``off``; ``raise`` comes into force
         before its first launch, so the build's own verification never
         saw it and the runtime's gate is what refuses it."""
@@ -151,16 +187,17 @@ class TestBuildTimeVariant:
         def scheduled(*args, **kwargs):
             raise AssertionError("a malleable variant reached the scheduler")
 
+        place(MIXED)
         monkeypatch.delenv("DOPIA_VERIFY", raising=False)
         launch_once, kernel, _ = build(trained_runtime, launch)
-        assert transforms == [1]
+        assert transforms == []
         monkeypatch.setenv("DOPIA_VERIFY", "raise")
         monkeypatch.setattr("repro.analysis.verify.verify_kernel", convicted)
         monkeypatch.setattr(runtime_module, "run_dynamic", scheduled)
         with pytest.raises(VerifyError, match="planted"):
             launch_once()
         artifacts = trained_runtime._artifacts(kernel)
-        assert artifacts.malleable == {} and transforms == [1]
+        assert artifacts.malleable == {} and transforms == []
 
 
 class TestSchedulerGate:

@@ -7,7 +7,9 @@ it accepts.  This suite drives both backends over
 * the 14 real-world registry kernels (Table 4), scaled down,
 * their malleable-transformed variants at several throttle settings
   (which exercise the transparent scalar fallback — the worklist
-  transform introduces barriers and atomics),
+  transform introduces barriers and atomics), and Algorithm 1's GPU
+  shares, which run the original kernel on the jit in the malleable
+  variant's place,
 * a sweep of Table-2 synthetic kernels over pattern/dim/dtype axes,
 * masked loops: data-dependent trip counts, nested lane-varying loops,
   divergent ``break``/``continue`` and early ``return``, and
@@ -135,8 +137,15 @@ class TestRealKernels:
 THROTTLES = [(1, 1), (4, 2), (8, 3)]
 
 #: Malleable-equivalence subjects: one 1-D regular, one 1-D irregular,
-#: one 2-D kernel.  The full registry sweep is in the slow lane.
-MALLEABLE_FAST = ["GESUMMV", "SpMV", "2DCONV"]
+#: one 2-D kernel, the kernels perfbench's app-coexec gives a GPU share
+#: and serve-graph's FDTD chain.  The full registry sweep is in the slow
+#: lane.
+MALLEABLE_FAST = ["GESUMMV", "SpMV", "2DCONV", "ATAX2", "BICG1", "MVT2",
+                  "FDTD1", "FDTD2", "FDTD3"]
+
+#: GPU-only and mixed settings for Algorithm 1's GPU-share runs.
+GPU_SHARES = [DopSetting(cpu_threads=0, gpu_fraction=1.0),
+              DopSetting(cpu_threads=2, gpu_fraction=0.5)]
 
 
 def _malleable_args(workload, malleable, mod, alloc, rng=0):
@@ -192,6 +201,52 @@ class TestMalleableVariants:
         check_malleable(name, mod, alloc)
 
 
+class TestGpuShares:
+    """The licence for running GPU shares on the original kernel.
+
+    The modelled GPU runs the malleable variant at the chosen throttle;
+    the host runs each GPU chunk on one compiled executor of the original
+    kernel instead.  That is sound exactly when the variant, run on the
+    oracle, writes the original's bytes — so every registry kernel, at
+    every throttle, must produce one set of bytes three ways, and the
+    schedule must not touch the oracle.
+    """
+
+    @pytest.mark.parametrize("name", list(SCALED_REAL))
+    @pytest.mark.parametrize("mod,alloc", THROTTLES)
+    def test_run_dynamic_matches_oracle_and_variant(self, name, mod, alloc):
+        workload = SCALED_REAL[name]()
+        info = workload.kernel_info()
+        ndrange = workload.ndrange()
+        malleable = make_malleable(info, work_dim=workload.work_dim)
+        original = _copy_args(workload.full_args(rng=0))
+        KernelExecutor(info, original, ndrange).run()
+        variant = _copy_args(workload.full_args(rng=0))
+        variant[MOD_PARAM] = mod
+        variant[ALLOC_PARAM] = alloc
+        KernelExecutor(malleable.info, variant, ndrange).run()
+        for setting in GPU_SHARES:
+            actual = _copy_args(workload.full_args(rng=0))
+            execution_stats.reset()
+            try:
+                trace = run_dynamic(info, malleable, actual, ndrange, setting,
+                                    mod, alloc, backend="jit")
+                tiers = {backend for _, backend in execution_stats.runs}
+                fallbacks = dict(execution_stats.fallbacks)
+            finally:
+                execution_stats.reset()
+            assert trace.gpu_chunks > 0, setting
+            assert tiers == {"jit"} and not fallbacks, (setting, tiers,
+                                                        fallbacks)
+            for buf, value in original.items():
+                if isinstance(value, np.ndarray):
+                    assert actual[buf].tobytes() == value.tobytes(), (
+                        f"{name} {setting}: {buf!r} differs from the oracle")
+                    assert actual[buf].tobytes() == variant[buf].tobytes(), (
+                        f"{name} {setting}: {buf!r} differs from the "
+                        f"malleable variant at mod={mod}, alloc={alloc}")
+
+
 #: Kernels that return early from the body.  A ``return`` inside the
 #: malleable drain loop must end one work item; ending the whole PE loses
 #: the work items a throttled GPU's surviving PEs still had to drain.
@@ -243,17 +298,23 @@ class TestEarlyReturnThrottleGrid:
 
     @pytest.mark.parametrize("mod,alloc", [(1, 1), (2, 1), (8, 3), (8, 1)])
     def test_gpu_only_run_dynamic(self, mod, alloc):
+        """GPU-only Algorithm 1 and the malleable variant it stands in
+        for, each on the oracle, against the untouched launch."""
         source, work_dim, global_size, local_size = EARLY_RETURN["1d"]
+        ndrange = NDRange(global_size, local_size)
         baseline = _early_return_args(work_dim, global_size)
-        execute_kernel(source, baseline, NDRange(global_size, local_size),
-                       backend="scalar")
+        execute_kernel(source, baseline, ndrange, backend="scalar")
+        malleable = make_malleable(source, work_dim=work_dim)
         args = _early_return_args(work_dim, global_size)
-        run_dynamic(analyze_kernel(parse_kernel(source)),
-                    make_malleable(source, work_dim=work_dim), args,
-                    NDRange(global_size, local_size),
-                    DopSetting(cpu_threads=0, gpu_fraction=1.0),
+        run_dynamic(analyze_kernel(parse_kernel(source)), malleable, args,
+                    ndrange, DopSetting(cpu_threads=0, gpu_fraction=1.0),
                     mod, alloc, backend="scalar")
         assert args["b"].tobytes() == baseline["b"].tobytes()
+        variant = _early_return_args(work_dim, global_size)
+        variant[MOD_PARAM] = mod
+        variant[ALLOC_PARAM] = alloc
+        KernelExecutor(malleable.info, variant, ndrange).run()
+        assert variant["b"].tobytes() == baseline["b"].tobytes()
 
 
 # -- Table-2 synthetic sweep -------------------------------------------------
@@ -522,19 +583,26 @@ class TestMaskedLoops:
     @pytest.mark.parametrize("name", THROTTLED_MASKED_LOOPS)
     @pytest.mark.parametrize("mod,alloc", THROTTLES)
     def test_throttle_grid(self, name, mod, alloc):
-        """Algorithm 1 over the throttle grid: jit CPU chunks plus the
-        malleable GPU variant against the oracle's untouched launch."""
+        """Over the throttle grid, Algorithm 1 on the jit and the
+        malleable variant on the oracle each match the oracle's untouched
+        launch."""
         source, _kernel, args, ndrange = self._case(name, 37, 4, seed=2)
         info = analyze_kernel(parse_kernel(source))
         expected = _copy_args(args)
         KernelExecutor(info, expected, ndrange).run()
+        malleable = make_malleable(source, work_dim=1)
         actual = _copy_args(args)
-        run_dynamic(info, make_malleable(source, work_dim=1), actual,
+        run_dynamic(info, malleable, actual,
                     ndrange, DopSetting(cpu_threads=2, gpu_fraction=0.5),
                     mod, alloc, backend="jit")
+        variant = _copy_args(args)
+        variant[MOD_PARAM] = mod
+        variant[ALLOC_PARAM] = alloc
+        KernelExecutor(malleable.info, variant, ndrange).run()
         for buf, value in expected.items():
             if isinstance(value, np.ndarray):
                 assert value.tobytes() == actual[buf].tobytes(), buf
+                assert value.tobytes() == variant[buf].tobytes(), buf
 
 
 #: ``c`` turns lane-valued at its first store, but the branch reads it

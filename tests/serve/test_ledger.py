@@ -102,3 +102,77 @@ def test_concurrent_acquire_release_balances():
     assert ledger.snapshot().idle
     assert ledger.total_leases == threads_n * cycles
     assert ledger.peak_cpu_util > 0.0
+
+
+# -- virtual time ---------------------------------------------------------------
+
+CPU2 = DopSetting(cpu_threads=2, gpu_fraction=0.0)
+GPU_HALF = DopSetting(cpu_threads=0, gpu_fraction=0.5)
+
+
+def test_interval_occupancy():
+    """A lease holds its capacity over [start, end) and nowhere else."""
+    ledger = DeviceLoadLedger(KAVERI)
+    ledger.acquire(CPU2, start=0.0, end=1.0)
+    ledger.acquire(GPU_HALF, start=0.5, end=2.0)
+    threads = KAVERI.cpu.threads
+
+    def at(instant):
+        snap = ledger.snapshot(at=instant)
+        return snap.cpu_util, snap.gpu_util, snap.in_flight
+
+    assert at(0.25) == (2 / threads, 0.0, 1)
+    assert at(0.75) == (2 / threads, 0.5, 2)
+    assert at(1.0) == (0.0, 0.5, 1)          # the end is exclusive
+    assert at(2.0) == (0.0, 0.0, 0)
+    assert ledger.snapshot(at=-1.0).idle
+    assert ledger.horizon == 2.0
+    assert ledger.peak_cpu_util == pytest.approx(2 / threads)
+    assert ledger.peak_gpu_util == pytest.approx(0.5)
+
+
+def test_peak_counts_only_overlapping_intervals():
+    ledger = DeviceLoadLedger(KAVERI)
+    for start in range(4):                   # back to back, never overlapping
+        ledger.acquire(GPU_HALF, start=float(start), end=start + 1.0)
+    assert ledger.peak_gpu_util == pytest.approx(0.5)
+    ledger.acquire(GPU_HALF, start=2.5, end=3.5)
+    assert ledger.peak_gpu_util == pytest.approx(1.0)
+
+
+def test_open_ended_co_runner():
+    """A lease without an end covers every instant from its start until
+    it is released; a finite one keeps its interval after release."""
+    ledger = DeviceLoadLedger(KAVERI)
+    finite = ledger.acquire(CPU2, start=0.0, end=1.0)
+    co_runner = ledger.acquire(GPU_HALF, start=0.5)
+    assert ledger.snapshot(at=0.25).gpu_util == 0.0
+    for instant in (0.5, 1.0, 1e9):
+        assert ledger.snapshot(at=instant).gpu_util == 0.5
+    assert ledger.snapshot().gpu_util == 0.5  # "now": only open leases
+    assert ledger.horizon == 1.0              # an open lease has no end
+    assert ledger.in_flight == 2
+
+    ledger.release(finite)
+    assert ledger.in_flight == 1
+    assert ledger.snapshot(at=0.75).in_flight == 2
+    ledger.release(co_runner)
+    assert ledger.in_flight == 0 and ledger.drained
+    assert ledger.snapshot(at=0.75).in_flight == 1
+    assert ledger.snapshot(at=5.0).idle
+
+
+def test_prune_drops_only_ended_leases():
+    ledger = DeviceLoadLedger(KAVERI)
+    for start in range(5):
+        ledger.release(ledger.acquire(CPU2, start=float(start),
+                                      end=start + 1.0))
+    co_runner = ledger.acquire(GPU_HALF, start=0.0)
+    assert ledger.recorded == 6
+    ledger.prune(3.0)
+    assert ledger.recorded == 3               # [3, 4), [4, 5) and the open one
+    assert ledger.snapshot(at=3.5).cpu_util > 0.0
+    ledger.prune(1e9)
+    assert ledger.recorded == 1
+    ledger.release(co_runner)
+    assert ledger.recorded == 0
