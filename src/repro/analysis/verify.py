@@ -427,7 +427,7 @@ class _Specializer:
     # -- per-access specialisation ----------------------------------------------
 
     def specialize(self, access: Access, space: str) -> Optional[_SpecAccess]:
-        if access.unanalyzable:
+        if _address_opaque(access):
             return None
         resolved = self.resolve_form(access.form, space)
         if resolved is None:
@@ -1066,6 +1066,23 @@ def _line(access: Access) -> int:
 # ---------------------------------------------------------------------------
 # OOB pass
 # ---------------------------------------------------------------------------
+
+
+def _address_opaque(access: Access) -> bool:
+    """Whether no launch resolves the access's address to integers: it
+    is read from memory (``x[col[j]]``), non-affine or unanalyzable, so
+    the specialized passes can only call it ``unknown``."""
+    form = access.form
+    return (access.unanalyzable or form.indirect or form.nonaffine
+            or form.unknown_base)
+
+
+def oob_may_be_clean(info: KernelInfo) -> bool:
+    """Whether some launch's OOB verdict can be ``clean``: not while an
+    access has an opaque address (:func:`_address_opaque`), which the
+    OOB pass calls ``unknown`` at every geometry."""
+    return not any(_address_opaque(access)
+                   for access in build_access_model(info).accesses)
 
 
 def _run_oob_pass(

@@ -35,8 +35,9 @@ affine accesses in bounds, eliding the bounds check per access; when
 that local proof fails, a cached OOB-clean verdict from
 :func:`repro.analysis.verify.verify_launch_cached` elides the check for
 the whole kernel.  ``unknown``/dirty verdicts keep the checks, and a
-kernel that indexes with a value read from a buffer (SpMV's
-``x[colidx[j]]``) never asks: its verdict cannot be clean.
+kernel with an address read from memory (SpMV's ``x[colidx[j]]``) never
+asks: :func:`~repro.analysis.verify.oob_may_be_clean` says its verdict
+cannot be clean.
 
 Exactness contract: generated code computes in the oracle's precision
 and through the same primitives (int64/float64 lanes, ``c_div``
@@ -495,14 +496,13 @@ class _Compiler:
     """
 
     def __init__(self, info: KernelInfo, ndrange: NDRange,
-                 scalars: dict, buffers: dict,
-                 verdict_fn: Optional[Callable], facts: frozenset):
+                 scalars: dict, buffers: dict, verdict_fn: Callable,
+                 facts: frozenset):
         self.info = info
         self.ndrange = ndrange
         self.scalars = scalars
         self.buffers = buffers          # name -> np.ndarray
-        #: lazy () -> verdicts dict; None when no verdict can be clean
-        self._verdict_fn = verdict_fn
+        self._verdict_fn = verdict_fn   # lazy: () -> verdicts dict
         self.facts = facts
         self.lines: list[str] = []
         self.indent = 1
@@ -542,8 +542,6 @@ class _Compiler:
         return frozenset(names)
 
     def _oob_clean(self) -> bool:
-        if self._verdict_fn is None:
-            return False
         if self.verdicts is None:
             self.verdicts = self._verdict_fn()
         return self.verdicts.get("oob") == "clean"
@@ -1510,47 +1508,6 @@ class _Compiler:
 _MAX_RESTARTS = 64
 
 
-def _index_reads_a_buffer(info: KernelInfo) -> bool:
-    """Whether some access's index is read from a buffer.
-
-    That is ``x[col[j]]``, or an index through a local declared once from
-    such a load (``int src = col[k]; ... rank[src]``).  The launch
-    verifier has no affine form for that index, so its kernel-wide OOB
-    verdict is never ``clean`` and the compiler does not ask for it.
-    """
-    body = info.kernel.body
-    buffers = set(info.buffer_params)
-    reassigned = _Compiler._find_reassigned(body)
-    decls = [node for node in ast.walk(body) if isinstance(node, ast.VarDecl)]
-    declared_once = [
-        decl for decl in decls
-        if decl.init is not None and not decl.array_dims
-        and decl.name not in reassigned
-        and sum(other.name == decl.name for other in decls) == 1
-    ]
-    loaded: set[str] = set()
-
-    def reads(expr: ast.Expr) -> bool:
-        return any(
-            (isinstance(node, ast.Index)
-             and isinstance(node.base, ast.Identifier)
-             and node.base.name in buffers)
-            or (isinstance(node, ast.Identifier) and node.name in loaded)
-            for node in ast.walk(expr))
-
-    grew = True
-    while grew:
-        grew = False
-        for decl in declared_once:
-            if decl.name not in loaded and reads(decl.init):
-                loaded.add(decl.name)
-                grew = True
-    return any(
-        isinstance(node, ast.Index) and isinstance(node.base, ast.Identifier)
-        and node.base.name in buffers and reads(node.index)
-        for node in ast.walk(body))
-
-
 def compile_kernel(info: KernelInfo, args: dict[str, Any],
                    ndrange: NDRange) -> CompiledKernel:
     """Lower + ``exec``-compile one kernel for one launch (uncached).
@@ -1563,8 +1520,12 @@ def compile_kernel(info: KernelInfo, args: dict[str, Any],
 
     def verdicts() -> dict:
         if "v" not in verdict_state:
-            from ..analysis.verify import LaunchSpec, verify_launch_cached
+            from ..analysis.verify import (LaunchSpec, oob_may_be_clean,
+                                           verify_launch_cached)
 
+            if not oob_may_be_clean(info):
+                verdict_state["v"] = {}
+                return verdict_state["v"]
             launch = LaunchSpec.from_args(
                 ndrange, {**scalars,
                           **{n: b for n, b in buffers.items()}})
@@ -1572,10 +1533,9 @@ def compile_kernel(info: KernelInfo, args: dict[str, Any],
             verdict_state["v"] = dict(report.verdicts)
         return verdict_state["v"]
 
-    verdict_fn = None if _index_reads_a_buffer(info) else verdicts
     facts: frozenset = frozenset()
     for _ in range(_MAX_RESTARTS):
-        compiler = _Compiler(info, ndrange, scalars, buffers, verdict_fn,
+        compiler = _Compiler(info, ndrange, scalars, buffers, verdicts,
                              facts)
         try:
             fn_name, source = compiler.compile()

@@ -12,9 +12,9 @@ normalised occupancy at one virtual instant feed the predictor's
 the modelled machine's, not how fast the host happens to execute.
 
 A lease acquired without an end (a planted co-runner) covers every
-instant from its start until it is released.  Leases that ended before
-the smallest clock a future admission can carry are pruned
-(:meth:`DeviceLoadLedger.prune`), which keeps the store bounded.
+instant from its start until it is released.  Leases that ended by the
+earliest instant a future admission can carry (the server's floor) are
+pruned (:meth:`DeviceLoadLedger.prune`), which keeps the store bounded.
 
 Separately, every lease counts as *in flight* from :meth:`acquire` to
 :meth:`release` in host terms: :attr:`DeviceLoadLedger.in_flight`,
@@ -31,6 +31,7 @@ and capped at 1.0 only in snapshots.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import threading
@@ -111,7 +112,14 @@ class DeviceLoadLedger:
         self.platform = platform
         self._lock = threading.Lock()
         self._tokens = itertools.count()
-        self._leases: dict[int, Lease] = {}   #: recorded intervals
+        #: recorded leases with an end, sorted by start (``_starts``
+        #: mirrors their starts for bisection); none lasts longer than
+        #: ``_longest``, so only those starting within ``_longest`` before
+        #: an instant can cover it
+        self._ended: list[Lease] = []
+        self._starts: list[float] = []
+        self._longest = 0.0
+        self._open: dict[int, Lease] = {}     #: leases held open, by token
         self._held: set[int] = set()          #: acquired, not yet released
         self._horizon = 0.0         #: latest finite lease end recorded
         self.peak_cpu_util = 0.0
@@ -136,17 +144,22 @@ class DeviceLoadLedger:
                 start=start,
                 end=math.inf if end is None else end,
             )
-            self._leases[lease.token] = lease
+            if end is None:
+                self._open[lease.token] = lease
+            else:
+                index = bisect.bisect_right(self._starts, start)
+                self._starts.insert(index, start)
+                self._ended.insert(index, lease)
+                self._longest = max(self._longest, end - start)
+                self._horizon = max(self._horizon, end)
             self._held.add(lease.token)
             self.total_leases += 1
-            if end is not None:
-                self._horizon = max(self._horizon, end)
             # occupancy only steps up where a lease starts: the peak over
             # the new interval is at its start or another lease's inside it
-            for at in {lease.start, *(other.start
-                                      for other in self._leases.values()
+            near = self._near(lease.start, lease.end)
+            for at in {lease.start, *(other.start for other in near
                                       if lease.covers(other.start))}:
-                threads, fraction, _ = self._occupancy(at)
+                threads, fraction, _ = self._occupancy(at, near)
                 self.peak_cpu_util = max(self.peak_cpu_util,
                                          self._cpu_util(threads))
                 self.peak_gpu_util = max(self.peak_gpu_util, fraction)
@@ -160,8 +173,7 @@ class DeviceLoadLedger:
         """
         with self._lock:
             self._held.remove(lease.token)
-            if lease.end == math.inf:
-                self._leases.pop(lease.token, None)
+            self._open.pop(lease.token, None)
 
     def prune(self, floor: float) -> None:
         """Drop leases that end at or before ``floor``.
@@ -170,10 +182,12 @@ class DeviceLoadLedger:
         asks about; such a lease can no longer cover one.
         """
         with self._lock:
-            expired = [token for token, lease in self._leases.items()
-                       if lease.end <= floor]
-            for token in expired:
-                del self._leases[token]
+            # an expired lease started by ``floor``: only that prefix changes
+            head = bisect.bisect_right(self._starts, floor)
+            kept = [lease for lease in self._ended[:head] if lease.end > floor]
+            if len(kept) < head:
+                self._ended[:head] = kept
+                self._starts[:head] = [lease.start for lease in kept]
 
     def note_waiting(self, delta: int) -> None:
         """Track launches parked behind graph dependencies (no lease).
@@ -192,10 +206,18 @@ class DeviceLoadLedger:
     def _cpu_util(self, threads: int) -> float:
         return threads / max(1, self.platform.cpu.threads)
 
-    def _occupancy(self, at: float) -> tuple[int, float, int]:
-        """(CPU threads, GPU fraction, leases) covering ``at``."""
+    def _near(self, lo: float, hi: float) -> list[Lease]:
+        """A superset of the leases covering some instant in ``[lo, hi]``."""
+        first = bisect.bisect_left(self._starts, lo - self._longest)
+        last = bisect.bisect_right(self._starts, hi)
+        return self._ended[first:last] + list(self._open.values())
+
+    def _occupancy(self, at: float,
+                   leases: list[Lease]) -> tuple[int, float, int]:
+        """(CPU threads, GPU fraction, leases) covering ``at`` among
+        ``leases``, which must hold every lease that covers it."""
         threads, fraction, count = 0, 0.0, 0
-        for lease in self._leases.values():
+        for lease in leases:
             if lease.covers(at):
                 threads += lease.cpu_threads
                 fraction += lease.gpu_fraction
@@ -209,7 +231,7 @@ class DeviceLoadLedger:
         open count.
         """
         with self._lock:
-            threads, fraction, count = self._occupancy(at)
+            threads, fraction, count = self._occupancy(at, self._near(at, at))
             return LoadSnapshot(
                 cpu_util=min(1.0, self._cpu_util(threads)),
                 gpu_util=min(1.0, fraction),
@@ -227,7 +249,7 @@ class DeviceLoadLedger:
     def recorded(self) -> int:
         """Lease intervals currently stored (bounded by :meth:`prune`)."""
         with self._lock:
-            return len(self._leases)
+            return len(self._ended) + len(self._open)
 
     @property
     def in_flight(self) -> int:

@@ -10,7 +10,12 @@ depend on how fast the host executes.  Every session has a clock: it
 opens at the latest lease end the ledger has recorded and advances to the
 end of each of its launches' leases.  A launch *arrives* at the later of
 its session's clock at submit and the lease end of every launch it waited
-on (graph edges and hazards).  For every launch a worker
+on (graph edges and hazards).  The server's *floor*, the least clock
+among open sessions and live (queued, parked or in-flight) launches, only
+rises; no future arrival falls below it, so leases ending by it are
+dropped.  Should the ledger still outgrow its bound, the idle session
+furthest behind stops holding the floor down and rejoins at the floor
+when it next submits.  For every launch a worker
 
 1. snapshots the :class:`~repro.serve.ledger.DeviceLoadLedger` at the
    arrival instant and feeds the (bucketed) ``CPU_util``/``GPU_util``
@@ -26,8 +31,8 @@ on (graph edges and hazards).  For every launch a worker
 4. executes the launch functionally (Algorithm 1 via
    :func:`repro.core.scheduler.run_dynamic`, mutating the client's real
    buffers);
-5. releases the lease (its interval stays recorded until no future
-   arrival can fall inside it) and resolves the client's
+5. releases the lease (its interval stays recorded until it ends by the
+   floor) and resolves the client's
    :class:`LaunchHandle`.
 
 Launches are not assumed independent: every submission is hazard-matched
@@ -287,6 +292,12 @@ class _Request:
 
 _STOP = object()
 
+#: lease intervals the ledger may hold before the idle session furthest
+#: behind stops holding them (it rejoins at the floor when it next
+#: submits); closed-loop clients keep far fewer, so their clocks are
+#: never moved
+_MAX_RECORDED = 1024
+
 
 @dataclass
 class ServerStats:
@@ -345,7 +356,8 @@ class ClientSession:
         self.name = name
         self._seq = itertools.count()
         #: virtual clock: the latest lease end among this session's
-        #: launches, or the ledger's horizon when the session opened
+        #: launches, or the ledger's horizon when the session opened;
+        #: raised to the floor if the server let go of it while idle
         self._clock = 0.0
 
     def launch(
@@ -491,12 +503,14 @@ class DopiaServer:
         self._prepare_lock = threading.Lock()
         self._session_lock = threading.Lock()
         self._session_names: set[str] = set()
-        #: guards the virtual clocks: open sessions (held weakly, so a
-        #: dropped session stops pinning the lease-pruning floor) and the
-        #: submit-time clocks of launches not yet leased, by node id
+        #: guards the virtual clocks: the sessions whose clocks hold the
+        #: floor down (held weakly, so a dropped session lets go), the
+        #: submit-time clocks of live launches (queued, parked or in
+        #: flight) by node id, and the floor no future arrival falls below
         self._clock_lock = threading.Lock()
         self._sessions: weakref.WeakSet = weakref.WeakSet()
-        self._unleased: dict[int, float] = {}
+        self._live: dict[int, float] = {}
+        self._floor = 0.0
         self._closed = False
         self.online: Optional[OnlineLoop] = None
         self._retrain_stop: Optional[threading.Event] = None
@@ -667,7 +681,10 @@ class DopiaServer:
         )
         node.request = request
         with self._clock_lock:
-            request.v_submit = self._unleased[node.id] = session._clock
+            # a session let go while it sat idle rejoins at the floor
+            session._clock = max(session._clock, self._floor)
+            self._sessions.add(session)
+            request.v_submit = self._live[node.id] = session._clock
         explicit = [h.node for h in after if h.node is not None]
         self.stats.record_submit()
         if tracer.enabled:
@@ -968,21 +985,39 @@ class DopiaServer:
         with self._clock_lock:
             if request.node is not None:
                 request.node.v_end = end
-                self._unleased.pop(request.node.id, None)
             session._clock = max(session._clock, end)
-            # every future arrival is at or after some open session's
-            # clock or some unleased launch's submit-time clock
-            floor = min(itertools.chain(
-                (other._clock for other in self._sessions),
-                self._unleased.values()))
+            floor = self._raise_floor()
         self.ledger.prune(floor)
+        if self.ledger.recorded > _MAX_RECORDED:
+            self._let_go_of_oldest_idle_session()
         return lease
 
-    def _forget_arrival(self, node: TaskNode) -> None:
-        """A launch settled without a lease: it no longer holds the
-        pruning floor down."""
+    def _raise_floor(self) -> float:
+        """Every future arrival is at or after some held session's clock
+        or some live launch's submit-time clock; the least of them only
+        rises.  Call under ``_clock_lock``."""
+        self._floor = min(itertools.chain(
+            (session._clock for session in self._sessions),
+            self._live.values()), default=self._floor)
+        return self._floor
+
+    def _let_go_of_oldest_idle_session(self) -> None:
+        """The ledger outgrew its bound: the idle session furthest behind
+        the live launches stops holding the floor down."""
         with self._clock_lock:
-            self._unleased.pop(node.id, None)
+            live = min(self._live.values(), default=float("inf"))
+            idle = [session for session in self._sessions
+                    if session._clock < live]
+            if not idle:
+                return
+            self._sessions.discard(min(idle, key=lambda s: s._clock))
+            floor = self._raise_floor()
+        self.ledger.prune(floor)
+
+    def _forget_arrival(self, node: TaskNode) -> None:
+        """A launch settled: it no longer holds the floor down."""
+        with self._clock_lock:
+            self._live.pop(node.id, None)
 
     # -- online retraining ------------------------------------------------------
 
@@ -1096,33 +1131,31 @@ class DopiaServer:
 
     def _worker_loop(self) -> None:
         while True:
-            request = self._queue.get()
-            if request is _STOP:
+            item = self._queue.get()
+            if item is _STOP:
                 return
-            self._run(request)
+            request: _Request = item
+            node = request.node
+            if node is not None:
+                self.graph.note_start(node)
+            try:
+                result = self._serve(request)
+            except BaseException as error:  # noqa: BLE001 - delivered to client
+                self.stats.record_failure()
+                if node is not None:
+                    self._settle_failure(node, error)
+                request.handle._fail(error)
+            else:
+                # Graph settles before the handle resolves: a client that
+                # waits on result() then resubmits can never observe its
+                # completed predecessor as still live.
+                if node is not None:
+                    for ready in self.graph.complete(node):
+                        self._dispatch(ready)
+                    self._forget_arrival(node)
+                request.handle._resolve(result)
             # an idle worker must not keep the last client's session alive
-            del request
-
-    def _run(self, request: _Request) -> None:
-        """Serve one request and settle its graph node and handle."""
-        node = request.node
-        if node is not None:
-            self.graph.note_start(node)
-        try:
-            result = self._serve(request)
-        except BaseException as error:  # noqa: BLE001 - delivered to client
-            self.stats.record_failure()
-            if node is not None:
-                self._settle_failure(node, error)
-            request.handle._fail(error)
-        else:
-            # Graph settles before the handle resolves: a client that
-            # waits on result() then resubmits can never observe its
-            # completed predecessor as still live.
-            if node is not None:
-                for ready in self.graph.complete(node):
-                    self._dispatch(ready)
-            request.handle._resolve(result)
+            del item, request, node
 
     def _dispatch(self, node: TaskNode) -> None:
         """A parked launch's last dependency completed: queue it."""

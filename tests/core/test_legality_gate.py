@@ -89,6 +89,13 @@ LAUNCHES = {
     "2-D variant": (TILED, "tiled", (8, 8), (4, 4)),
 }
 
+#: the buffer each of :data:`LAUNCHES` leaves: ``c[i] = i`` and
+#: ``c[y * 8 + x] = x + y``
+EXPECTED = {
+    "1-D variant": np.arange(64.0),
+    "2-D variant": np.add.outer(np.arange(8.0), np.arange(8.0)).ravel(),
+}
+
 MIXED = DopSetting(cpu_threads=2, gpu_fraction=0.5)
 CPU_ONLY = DopSetting(cpu_threads=2, gpu_fraction=0.0)
 
@@ -155,7 +162,7 @@ class TestBuildTimeVariant:
             assert transforms == [], launch
             launch_once()
             launch_once()
-            assert buffer.any(), launch
+            assert np.array_equal(buffer, EXPECTED[launch]), launch
             work_dim = len(global_size)
             assert transforms == [work_dim], launch
             artifacts = trained_runtime._artifacts(kernel)
@@ -168,7 +175,7 @@ class TestBuildTimeVariant:
         for launch in LAUNCHES:
             launch_once, kernel, buffer = build(trained_runtime, launch)
             launch_once()
-            assert buffer.any(), launch
+            assert np.array_equal(buffer, EXPECTED[launch]), launch
             assert trained_runtime._artifacts(kernel).malleable == {}
         assert transforms == []
 

@@ -6,13 +6,10 @@ given — depends on the admission order and the performance model, never
 on how fast the host executes the launch.
 """
 
-import gc
-import time
-import weakref
-
 import pytest
 
 from repro.serve import DopiaServer
+from repro.serve.server import _MAX_RECORDED
 from repro.sim import KAVERI
 from repro.workloads import SCALED_REAL_FACTORIES
 
@@ -86,32 +83,37 @@ def test_dependent_launch_arrives_after_its_predecessor(trained_model):
 
 
 def test_lease_store_stays_bounded(trained_model):
-    """10k sequential launches leave O(1) recorded leases, also when
-    an earlier session was dropped (sessions are held weakly)."""
+    """10k sequential launches keep the lease store bounded, also beside a
+    session that stays referenced but idle: once the store outgrows its
+    bound the idle session is let go, the floor moves on, and when that
+    session submits again it rejoins at the floor."""
     workload = SCALED_REAL_FACTORIES["GESUMMV"]()
     args = workload.full_args(0)
     with DopiaServer(KAVERI, trained_model, workers=1, functional=False,
                      simulate=False) as server:
-        dropped = server.session("dropped")
-        dropped.launch(workload, args).result(timeout=120)
-        gone = weakref.ref(dropped)
-        del dropped
-        deadline = time.monotonic() + 30
-        while gone() is not None and time.monotonic() < deadline:
-            gc.collect()    # a launch handle and its graph node form a cycle
-            time.sleep(0.01)
-        assert gone() is None
+        idle = server.session("idle")
+        idle.launch(workload, args).result(timeout=120)
+        old_clock = idle._clock
         session = server.session("long")
+        peak = 0
         for _ in range(10_000):
             session.launch(workload, args).result(timeout=120)
+            peak = max(peak, server.ledger.recorded)
         assert server.ledger.total_leases == 10_001
+        assert peak <= _MAX_RECORDED + 1
+        assert server.ledger.recorded <= 2
+        assert server._floor > old_clock
+        back = idle.launch(workload, args)
+        back.result(timeout=120)
+        assert back.node.v_end - back.result().service_time_s \
+            == pytest.approx(server._floor)
         assert server.ledger.recorded <= 2
 
 
 def test_concurrent_sessions_keep_their_clocks(trained_model):
     """More workers and client threads than cores, with a short switch
     interval: every closed-loop session's launches sit back to back on its
-    clock, the clock ends at its last lease, and nothing is left unleased."""
+    clock, the clock ends at its last lease, and nothing is left live."""
     import sys
     import threading
 
@@ -143,7 +145,7 @@ def test_concurrent_sessions_keep_their_clocks(trained_model):
             assert not any(thread.is_alive() for thread in threads)
             assert server.drain(timeout=30)
             assert server.ledger.in_flight == 0
-            assert server._unleased == {}
+            assert server._live == {}
             for index, session in enumerate(sessions):
                 ends = [handle.node.v_end for handle in handles[index]]
                 starts = [end - handle.result().service_time_s
